@@ -5,10 +5,9 @@ run writes its outputs plus a manifest.json (inputs, versions, sha256
 checksums) into the output directory.  Exit codes: 0 success, 1 usage,
 2 hypothesis/validation error, 3 numerical failure.
 
-Independent sub-computations (the sigma halves of a branch command, rows
-of report sweeps) can fan out over threads; BEAMSPEC_THREADS caps the
-fan-out and defaults to 1.  File writes happen on the dispatching thread
-only.
+The sigma halves of a branch command can fan out over threads;
+BEAMSPEC_THREADS caps the fan-out and defaults to 1.  File writes happen
+on the dispatching thread only.
 """
 
 import argparse
@@ -28,7 +27,7 @@ from .grid import from_csv, make_grid, sample, to_csv
 from .nonlinear import PerturbedProblem, check_asymptotics
 from .presets import WEIGHTS, asymptotic_f, perturbation, table_f, weight
 from .render import render_diagram
-from .spectrum import eigen_pencil, widest_resolvable_window
+from .spectrum import MAX_PAIRS, eigen_pencil, widest_resolvable_window
 from .verify import LABELS, check_sturm_suite, verify_all
 
 
@@ -45,7 +44,10 @@ def _weight_arg(name_or_path, grid):
         fn = weight(name_or_path)
         return sample(fn, grid), name_or_path
     if os.path.exists(name_or_path):
-        m = from_csv(name_or_path)
+        try:
+            m = from_csv(name_or_path)
+        except (ValueError, IndexError) as exc:
+            raise ValidationError(f"weight CSV '{name_or_path}': {exc}") from None
         if m.grid.n_interior != grid.n_interior:
             raise ValidationError(
                 f"weight CSV has n={m.grid.n_interior}, run wants n={grid.n_interior}")
@@ -55,8 +57,16 @@ def _weight_arg(name_or_path, grid):
 
 def _nonlinearity_arg(args):
     if args.f_table:
-        return table_f(args.f_table, args.f0, args.finf)
-    params = json.loads(args.f_params) if args.f_params else {}
+        try:
+            return table_f(args.f_table, args.f0, args.finf)
+        except (OSError, ValueError, IndexError) as exc:
+            raise ValidationError(f"--f-table '{args.f_table}': {exc}") from None
+    try:
+        params = json.loads(args.f_params) if args.f_params else {}
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--f-params is not valid JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise ValidationError("--f-params must be a JSON object")
     return asymptotic_f(args.f, **params)
 
 
@@ -106,17 +116,13 @@ def _cmd_spectrum(args):
 
 
 def _cmd_degree(args):
-    from .analysis import degree_parity_sweep
+    from .analysis import degree_parity_sweep, parity_samples
     grid = make_grid(args.n)
     m, weight_id = _weight_arg(args.weight, grid)
     res = widest_resolvable_window(m)
     rng = np.random.default_rng(args.seed)
-    pos = [p.mu for p in res.positive]
-    neg = [p.mu for p in res.negative]
-    hi = 0.97 * max(pos)
-    lo = 0.97 * min(neg) if neg else -1.5 * max(pos)
-    samples = np.concatenate([rng.uniform(1e-3, hi, args.samples // 2),
-                              rng.uniform(lo, -1e-3, args.samples - args.samples // 2)])
+    samples = parity_samples(res, rng, args.samples // 2,
+                             args.samples - args.samples // 2)
     rep = degree_parity_sweep(m, samples, spectrum_result=res)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "degree_parity.json"), "w") as fh:
@@ -153,7 +159,7 @@ def _cmd_branch(args):
     m, _ = _weight_arg(args.weight, grid)
     nu, sigmas = _branch_labels(args)
     spec = PerturbedProblem(m=m, g=perturbation(args.g))
-    window = min(args.k + 4, 12)
+    window = min(args.k + 4, MAX_PAIRS)
     has_neg = bool(np.any(m.interior < 0.0))
     res = eigen_pencil(m, window, window if (has_neg or nu < 0) else 0)
     config = ContinuationConfig(ds=args.ds, ds_max=args.ds_max,

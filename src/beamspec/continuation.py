@@ -19,7 +19,7 @@ The nodal-solution driver reformulates u'''' = gamma m f(u) with an
 auxiliary factor mu on the right-hand side, starts the (k, nu, sigma)
 branch at mu = mu_k^nu / (gamma f0), traces until the branch crosses the
 hyperplane mu = 1, and polishes the crossing point, which solves the
-original problem.
+original problem, to corrector_tol with no amplitude factor.
 """
 
 from dataclasses import dataclass, field
@@ -316,14 +316,17 @@ def cross_hyperplane(branch, spec, config=None):
     A branch point already lying on the hyperplane (within hyperplane_tol,
     with its residual at mu = 1 inside tolerance) is returned unchanged;
     otherwise consecutive points bracketing mu = 1 are interpolated and
-    the interpolant is polished by Newton with mu frozen at 1.
+    the interpolant is polished by Newton with mu frozen at 1.  The
+    on-plane check and the polish both use corrector_tol without the
+    amplitude factor of branch points, so the returned solution meets an
+    absolute residual bound at any amplitude.
     """
     if config is None:
         config = ContinuationConfig()
     for p in branch.points:
         if abs(p.mu - 1.0) <= config.hyperplane_tol:
             merit, _ = fp_residual(p.u, 1.0, spec)
-            if merit <= _point_tol(config, p.norm.value):
+            if merit <= config.corrector_tol:
                 return p.u
     for a, b in zip(branch.points, branch.points[1:]):
         if (a.mu - 1.0) * (b.mu - 1.0) <= 0.0:
@@ -331,8 +334,7 @@ def cross_hyperplane(branch, spec, config=None):
             guess = from_interior(
                 spec.grid,
                 (1.0 - theta) * a.u.interior + theta * b.u.interior)
-            u = newton(guess, 1.0, spec,
-                       tol=_point_tol(config, e_norm(guess).value))
+            u = newton(guess, 1.0, spec, tol=config.corrector_tol)
             profile = nodal_profile(u)
             if (profile.count, profile.sigma) != (branch.k - 1, branch.sigma):
                 raise NoCrossing(

@@ -3,7 +3,9 @@
 Everything here integrates the beam ODE as a first-order 4-system with
 classical fourth-order Runge-Kutta at a fixed step (<= 1e-4) and never
 touches the finite-difference operators, so it can serve as an
-independent cross-check for them.
+independent cross-check for them.  Both oracles share one RK4 step,
+written in plain arithmetic so that the state components may be Python
+floats (the nonlinear shoot) or numpy arrays (the linear pencil).
 
 For the linear pencil u'''' = mu m(t) u the two IVP columns with
 u(0) = u''(0) = 0 and (u', u''')(0) in {(1,0), (0,1)} span all admissible
@@ -11,21 +13,16 @@ solutions; mu is an eigenvalue exactly when the boundary determinant
 
     d(mu) = u_a(1) u_b''(1) - u_b(1) u_a''(1)
 
-vanishes.  Roots of d are found by bisection on a sign-changing bracket.
+vanishes.  The system is linear, so one RK4 step is a 4x4 transfer matrix;
+all steps are built at once, and their second compounds (the 6x6 matrices
+of 2x2 minors) are multiplied by a pairwise tree.  Roots of d are found by
+bisection on a sign-changing bracket.
 """
 
 import numpy as np
 
 from .errors import NoConvergence, NoSignChange
 from .grid import SampledFn
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 DEFAULT_STEPS = 10000  # step 1e-4 over [0, 1]
 
@@ -41,66 +38,63 @@ def _weight_on_half_grid(m, n_steps):
     raise TypeError("weight must be a callable or a SampledFn")
 
 
-@njit(cache=True)
+def _rk4_step(rhs, y, h, m0, mh, m1):
+    """One classical RK4 step of y' = rhs(y, m) for a 4-component state y.
+
+    m0, mh and m1 are the weight at the start, midpoint and end of the
+    step; rhs(y, m) returns the 4 components of the derivative.
+    """
+    half = 0.5 * h
+    y1, y2, y3, y4 = y
+    a1, a2, a3, a4 = rhs(y, m0)
+    b1, b2, b3, b4 = rhs((y1 + half * a1, y2 + half * a2,
+                          y3 + half * a3, y4 + half * a4), mh)
+    c1, c2, c3, c4 = rhs((y1 + half * b1, y2 + half * b2,
+                          y3 + half * b3, y4 + half * b4), mh)
+    d1, d2, d3, d4 = rhs((y1 + h * c1, y2 + h * c2,
+                          y3 + h * c3, y4 + h * c4), m1)
+    return (y1 + h * (a1 + 2.0 * b1 + 2.0 * c1 + d1) / 6.0,
+            y2 + h * (a2 + 2.0 * b2 + 2.0 * c2 + d2) / 6.0,
+            y3 + h * (a3 + 2.0 * b3 + 2.0 * c3 + d3) / 6.0,
+            y4 + h * (a4 + 2.0 * b4 + 2.0 * c4 + d4) / 6.0)
+
+
+# the 2x2 minors of a 4x4 matrix, indexed by a pair of rows and a pair of
+# columns in this order, are the entries of its 6x6 second compound
+_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+_I, _J = _PAIRS[:, :1], _PAIRS[:, 1:]
+_K, _L = _PAIRS[:, 0], _PAIRS[:, 1]
+
+
 def _boundary_determinant(mu, m_half):
     n = (len(m_half) - 1) // 2
-    h = 1.0 / n
-    ya1, ya2, ya3, ya4 = 0.0, 1.0, 0.0, 0.0
-    yb1, yb2, yb3, yb4 = 0.0, 0.0, 0.0, 1.0
-    for j in range(n):
-        m0 = m_half[2 * j]
-        mh = m_half[2 * j + 1]
-        m1 = m_half[2 * j + 2]
 
-        k11, k12, k13, k14 = ya2, ya3, ya4, mu * m0 * ya1
-        k21 = ya2 + 0.5 * h * k12
-        k22 = ya3 + 0.5 * h * k13
-        k23 = ya4 + 0.5 * h * k14
-        k24 = mu * mh * (ya1 + 0.5 * h * k11)
-        k31 = ya2 + 0.5 * h * k22
-        k32 = ya3 + 0.5 * h * k23
-        k33 = ya4 + 0.5 * h * k24
-        k34 = mu * mh * (ya1 + 0.5 * h * k21)
-        k41 = ya2 + h * k32
-        k42 = ya3 + h * k33
-        k43 = ya4 + h * k34
-        k44 = mu * m1 * (ya1 + h * k31)
-        ya1 += h * (k11 + 2.0 * k21 + 2.0 * k31 + k41) / 6.0
-        ya2 += h * (k12 + 2.0 * k22 + 2.0 * k32 + k42) / 6.0
-        ya3 += h * (k13 + 2.0 * k23 + 2.0 * k33 + k43) / 6.0
-        ya4 += h * (k14 + 2.0 * k24 + 2.0 * k34 + k44) / 6.0
+    def rhs(y, m):
+        return y[1], y[2], y[3], mu * m * y[0]
 
-        k11, k12, k13, k14 = yb2, yb3, yb4, mu * m0 * yb1
-        k21 = yb2 + 0.5 * h * k12
-        k22 = yb3 + 0.5 * h * k13
-        k23 = yb4 + 0.5 * h * k14
-        k24 = mu * mh * (yb1 + 0.5 * h * k11)
-        k31 = yb2 + 0.5 * h * k22
-        k32 = yb3 + 0.5 * h * k23
-        k33 = yb4 + 0.5 * h * k24
-        k34 = mu * mh * (yb1 + 0.5 * h * k21)
-        k41 = yb2 + h * k32
-        k42 = yb3 + h * k33
-        k43 = yb4 + h * k34
-        k44 = mu * m1 * (yb1 + h * k31)
-        yb1 += h * (k11 + 2.0 * k21 + 2.0 * k31 + k41) / 6.0
-        yb2 += h * (k12 + 2.0 * k22 + 2.0 * k32 + k42) / 6.0
-        yb3 += h * (k13 + 2.0 * k23 + 2.0 * k33 + k43) / 6.0
-        yb4 += h * (k14 + 2.0 * k24 + 2.0 * k34 + k44) / 6.0
-
-        # rescaling by positive factors guards against overflow without
-        # touching the sign of the determinant
-        sa = abs(ya1) + abs(ya2) + abs(ya3) + abs(ya4)
-        if sa > 1e120:
-            ya1 /= sa; ya2 /= sa; ya3 /= sa; ya4 /= sa
-        sb = abs(yb1) + abs(yb2) + abs(yb3) + abs(yb4)
-        if sb > 1e120:
-            yb1 /= sb; yb2 /= sb; yb3 /= sb; yb4 /= sb
-    return ya1 * yb3 - yb1 * ya3
+    # stepping the identity with the weight of every step as an array gives
+    # all n transfer matrices at once: p[:, :, j] maps y(t_j) to y(t_j+1)
+    p = np.array(_rk4_step(rhs, tuple(np.eye(4)[:, :, None]), 1.0 / n,
+                           m_half[0:-1:2], m_half[1::2], m_half[2::2]))
+    # d is a 2x2 minor of the product of all steps.  Taken from the 4x4
+    # product it cancels to about exp(-mu^1/4) of the terms it is formed
+    # from; the product of the second compounds (Cauchy-Binet) holds the
+    # minor itself as an entry
+    c = np.moveaxis(p[_I, _K] * p[_J, _L] - p[_I, _L] * p[_J, _K], -1, 0)
+    while len(c) > 1:
+        if len(c) % 2:
+            c = np.concatenate([c, np.eye(6)[None]])
+        c = c[1::2] @ c[0::2]  # the later step on the left
+        # positive factors guard against overflow without touching the
+        # sign of the determinant
+        c /= np.max(np.abs(c), axis=(1, 2), keepdims=True)
+    # rows (0, 2) and columns (1, 3): u and u'' at t = 1 of the solutions
+    # started from u'(0) = 1 and from u'''(0) = 1
+    return c[0, 1, 4]
 
 
 def boundary_determinant(mu, m, n_steps=DEFAULT_STEPS):
-    """d(mu) for the weight m (callable or SampledFn)."""
+    """d(mu) for the weight m (callable or SampledFn), up to a positive factor."""
     return float(_boundary_determinant(float(mu), _weight_on_half_grid(m, n_steps)))
 
 
@@ -142,32 +136,18 @@ def _integrate_nonlinear(a, b, gamma, m_half, f):
     """
     n = (len(m_half) - 1) // 2
     h = 1.0 / n
-    y1, y2, y3, y4 = 0.0, a, 0.0, b
-    traj = np.empty(n + 1)
-    traj[0] = 0.0
+    # Python floats throughout: arithmetic on numpy scalars is slower
+    w = m_half.tolist()
+
+    def rhs(y, m):
+        return y[1], y[2], y[3], gamma * m * float(f(y[0]))
+
+    y = (0.0, a, 0.0, b)
+    traj = [0.0]
     for j in range(n):
-        m0 = m_half[2 * j]
-        mh = m_half[2 * j + 1]
-        m1 = m_half[2 * j + 2]
-        k11, k12, k13, k14 = y2, y3, y4, gamma * m0 * f(y1)
-        k21 = y2 + 0.5 * h * k12
-        k22 = y3 + 0.5 * h * k13
-        k23 = y4 + 0.5 * h * k14
-        k24 = gamma * mh * f(y1 + 0.5 * h * k11)
-        k31 = y2 + 0.5 * h * k22
-        k32 = y3 + 0.5 * h * k23
-        k33 = y4 + 0.5 * h * k24
-        k34 = gamma * mh * f(y1 + 0.5 * h * k21)
-        k41 = y2 + h * k32
-        k42 = y3 + h * k33
-        k43 = y4 + h * k34
-        k44 = gamma * m1 * f(y1 + h * k31)
-        y1 += h * (k11 + 2.0 * k21 + 2.0 * k31 + k41) / 6.0
-        y2 += h * (k12 + 2.0 * k22 + 2.0 * k32 + k42) / 6.0
-        y3 += h * (k13 + 2.0 * k23 + 2.0 * k33 + k43) / 6.0
-        y4 += h * (k14 + 2.0 * k24 + 2.0 * k34 + k44) / 6.0
-        traj[j + 1] = y1
-    return traj, y1, y3
+        y = _rk4_step(rhs, y, h, w[2 * j], w[2 * j + 1], w[2 * j + 2])
+        traj.append(y[0])
+    return np.array(traj, dtype=float), y[0], y[2]
 
 
 def shoot_nodal_solution(gamma, m, f, slope0, jerk0, grid, max_iter=30,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import NodalMismatch, NotInWeightClass
+from .errors import NodalMismatch, NotInWeightClass, ValidationError
 from .grid import SampledFn, e_norm, from_interior, make_grid, sample
 from .linops import SecondDiffOperator
 from .nodal import nodal_profile
@@ -129,7 +129,7 @@ def eigen_pencil(m, count_pos, count_neg):
     NodalMismatch (the grid cannot separate their zeros).
     """
     if not (0 <= count_pos <= MAX_PAIRS and 0 <= count_neg <= MAX_PAIRS):
-        raise ValueError(f"pair counts must lie in 0..{MAX_PAIRS}")
+        raise ValidationError(f"pair counts must lie in 0..{MAX_PAIRS}")
     mv = m.interior
     if count_pos > 0 and not np.any(mv > 0.0):
         raise NotInWeightClass("positive spectrum requested but the weight is nowhere positive")

@@ -8,7 +8,8 @@ reports.  The battery is deterministic given (n, seed).
 
 import numpy as np
 
-from .analysis import degree_parity_sweep, spacing_check, sturm_check
+from .analysis import (degree_parity_sweep, parity_samples, spacing_check,
+                       sturm_check)
 from .continuation import (ContinuationConfig, bifurcation_start,
                            cross_hyperplane, solve_nodal, solve_nodal_range,
                            trace_branch)
@@ -119,14 +120,8 @@ def check_degree_parity(grid, spectra, samples_per_sign=25, seed=0):
     total = 0
     for name, fn in WEIGHTS.items():
         res = spectra[name]
-        m = res.weight
-        pos = [p.mu for p in res.positive]
-        neg = [p.mu for p in res.negative]
-        hi = 0.97 * max(pos)
-        lo = 0.97 * min(neg) if neg else -1.5 * max(pos)
-        samples = np.concatenate([rng.uniform(1e-3, hi, samples_per_sign),
-                                  rng.uniform(lo, -1e-3, samples_per_sign)])
-        rep = degree_parity_sweep(m, samples, spectrum_result=res)
+        samples = parity_samples(res, rng, samples_per_sign, samples_per_sign)
+        rep = degree_parity_sweep(res.weight, samples, spectrum_result=res)
         reports[name] = {"all_match": rep["all_match"], "n": rep["n_samples"]}
         ok = ok and rep["all_match"]
         total += rep["n_samples"]

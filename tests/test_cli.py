@@ -132,3 +132,38 @@ def test_spectrum_rejects_impossible_weight(tmp_path):
     code = run(["spectrum", "--weight", str(path), "--n", "300", "--kmax", "2",
                 "--out", str(tmp_path / "y")])
     assert code == 2
+
+
+def _malformed_files(tmp_path):
+    from beamspec.grid import make_grid, sample, to_csv
+    g = make_grid(300)
+    to_csv(sample(lambda t: -1.0 - 0.1 * t, g), tmp_path / "neg.csv")
+    to_csv(sample(lambda t: 0.0 * t, g), tmp_path / "zero.csv")
+    to_csv(sample(lambda t: np.sin(3 * np.pi * t), g), tmp_path / "nan.csv")
+    rows = (tmp_path / "nan.csv").read_text().splitlines()
+    rows[5] = rows[5].split(",")[0] + ",nan"
+    (tmp_path / "nan.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "table.csv").write_text("s,f\n0,0\n1,oops\n")
+    return {name: str(tmp_path / f"{name}.csv")
+            for name in ("neg", "zero", "nan", "table")}
+
+
+@pytest.mark.parametrize("argv, code", [
+    # a weight with no positive part has an all-negative spectrum; its
+    # positive samples expect parity +1
+    (["degree", "--weight", "{neg}", "--samples", "6"], 0),
+    (["degree", "--weight", "{zero}", "--samples", "6"], 2),
+    (["spectrum", "--weight", "one", "--kmax", "13"], 2),
+    (["spectrum", "--weight", "{nan}"], 2),
+    (["solve", "--gamma", "70", "--f-params", "{{bad"], 2),
+    (["solve", "--gamma", "70", "--f-params", "[17]"], 2),
+    (["solve", "--gamma", "70", "--f-table", "{table}"], 2),
+], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
+        "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
+        "solve-bad-table"])
+def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
+    files = _malformed_files(tmp_path)
+    argv = [a.format(**files) for a in argv]
+    assert run(argv + ["--n", "300", "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err

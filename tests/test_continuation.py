@@ -5,7 +5,7 @@ from beamspec.continuation import (ContinuationConfig, admissible_interval,
                                    bifurcation_start, cross_hyperplane,
                                    solve_nodal, trace_branch)
 from beamspec.errors import GammaNotAdmissible, NotInWeightClass
-from beamspec.grid import interior_dot, make_grid, sample
+from beamspec.grid import e_norm, interior_dot, make_grid, sample
 from beamspec.nonlinear import AutonomousProblem, PerturbedProblem, fp_residual
 from beamspec.presets import (cubic_perturbation, linear_f, saturating_f,
                               zero_perturbation)
@@ -162,6 +162,18 @@ def test_solve_nodal_matches_shooting_oracle(setup):
     u_shoot = shoot_nodal_solution(gamma, lambda t: np.ones_like(np.asarray(t, float)),
                                    f.f, slope0, jerk0, g)
     assert np.max(np.abs(u.values - u_shoot.values)) <= 1e-4
+
+
+def test_solve_nodal_residual_is_absolute_at_large_amplitude(setup):
+    # k = 2 crosses mu = 1 near e_norm 500, where a polish tolerance scaled
+    # by the amplitude would let the residual exceed criterion 8's 1e-8
+    g, one, res = setup
+    f = saturating_f()
+    gamma = 0.6001 * (2.0 * np.pi) ** 4
+    u = solve_nodal(gamma, f, one, 2, +1, +1, spectrum_result=res)
+    assert e_norm(u).value > 99.0
+    rmax, _ = fp_residual(u, 1.0, AutonomousProblem(m=one, gamma=gamma, f=f))
+    assert rmax <= 1e-8
 
 
 def test_solve_nodal_odd_symmetry(setup):

@@ -3,6 +3,7 @@ import pytest
 
 from beamspec.errors import NoSignChange, NotInWeightClass
 from beamspec.grid import make_grid, sample
+from beamspec.shooting import boundary_determinant
 from beamspec.spectrum import (EigenPair, SpectrumResult, eigen_pencil,
                                eigen_pencil_extrapolated, eigen_shoot,
                                order_by_nodal)
@@ -116,6 +117,22 @@ def test_eigen_shoot_bad_bracket():
     one = lambda t: np.ones_like(np.asarray(t, dtype=float))
     with pytest.raises(NoSignChange):
         eigen_shoot(one, (10.0, 50.0))
+
+
+def test_boundary_determinant_sign_matches_closed_form():
+    # for m = 1, d(mu) = sin(l) sinh(l) / l^2 with l = mu^(1/4); sinh(l)
+    # reaches 1e16 at the top of the range, which the rescaling must absorb,
+    # and d is smallest next to the roots (k pi)^4, where it is also sampled
+    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
+    mus = np.random.default_rng(7).uniform(0.0, 12 * np.pi, 80) ** 4
+    roots = (np.arange(1, 13) * np.pi) ** 4
+    far = np.all(np.abs(mus[:, None] / roots - 1.0) > 1e-3, axis=1)
+    mus = mus[far][:50]
+    assert len(mus) == 50
+    for mu in np.concatenate([mus, roots * (1 - 1.1e-3), roots * (1 + 1.1e-3)]):
+        d = boundary_determinant(mu, one)
+        assert np.isfinite(d)
+        assert np.sign(d) == np.sign(np.sin(mu ** 0.25))
 
 
 def test_pencil_shoot_cross_validation(grid800):
