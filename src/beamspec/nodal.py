@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfDomain, TrivialFunction
-from .grid import derivative, e_norm
+from .grid import derivative
 
 GENERALIZED_SIMPLE = "generalized_simple"
 GENERALIZED_DOUBLE = "generalized_double"
@@ -84,72 +84,77 @@ def _quadratic_root(ts, vs, lo, hi):
     return None
 
 
-def find_zeros(u):
+def _derivative_fields(u):
+    return tuple(derivative(u, k) for k in (1, 2, 3))
+
+
+def _scale(u, fields):
+    """e_norm(u).value from precomputed derivative fields, summed in e_norm's order."""
+    return sum(float(np.max(np.abs(f.values))) for f in (u,) + fields)
+
+
+def find_zeros(u, _fields=None):
     """Locations of interior zeros of u.
 
-    One zero per sign change of consecutive samples, refined by local
-    quadratic interpolation, plus touch-zeros: nodes where |u| is below
-    TOUCH_TOL * max|u| between same-sign neighbours.  Endpoint zeros are
-    excluded (zeros are counted in the open interval).  Returns sorted
-    locations, deduplicated to half a grid spacing.
+    Whole-grid masks pick the candidates, and only candidates get scalar
+    work: each sign change of consecutive interior samples is refined by
+    local quadratic interpolation, and each near-zero node (|u| below
+    TOUCH_TOL * max|u|, a flank above NOISE_TOL * max|u|) is a crossing
+    that hit the node or, between same-sign neighbours, a touch-zero.
+    Endpoint zeros are excluded (zeros are counted in the open interval).
+    Returns sorted locations, deduplicated to half a grid spacing.
     """
-    if e_norm(u).value <= TRIVIAL_TOL:
+    if _fields is None:
+        _fields = _derivative_fields(u)
+    if _scale(u, _fields) <= TRIVIAL_TOL:
         raise TrivialFunction("zero search needs a nontrivial function")
     v = u.values
     t = u.grid.nodes
-    vmax = np.max(np.abs(v))
+    h = u.grid.h
+    av = np.abs(v)
+    vmax = np.max(av)
     zeros = []
 
-    # sign changes between interior node pairs
-    for j in range(1, len(v) - 2):
-        if max(abs(v[j]), abs(v[j + 1])) < NOISE_TOL * vmax:
-            continue
-        if v[j] * v[j + 1] < 0.0:
-            root = None
-            if abs(v[j]) <= abs(v[j + 1]):
-                root = _quadratic_root(t[j - 1:j + 2], v[j - 1:j + 2], t[j], t[j + 1])
-            elif j + 2 < len(v):
-                root = _quadratic_root(t[j:j + 3], v[j:j + 3], t[j], t[j + 1])
-            if root is None:
-                root = t[j] - v[j] * (t[j + 1] - t[j]) / (v[j + 1] - v[j])
-            zeros.append(root)
+    # sign changes between interior node pairs (j, j + 1), j = 1 .. n - 1
+    pairs = ((np.maximum(av[1:-2], av[2:-1]) >= NOISE_TOL * vmax)
+             & (v[1:-2] * v[2:-1] < 0.0))
+    for j in (np.flatnonzero(pairs) + 1).tolist():
+        if abs(v[j]) <= abs(v[j + 1]):
+            root = _quadratic_root(t[j - 1:j + 2], v[j - 1:j + 2], t[j], t[j + 1])
+        else:
+            root = _quadratic_root(t[j:j + 3], v[j:j + 3], t[j], t[j + 1])
+        if root is None:
+            root = t[j] - v[j] * (t[j + 1] - t[j]) / (v[j + 1] - v[j])
+        zeros.append(root)
 
     # near-zero nodes: crossings that hit a node, and touch candidates;
     # both need flanking samples above the float-noise floor, otherwise
     # the "zero" is structure the data cannot support
-    crossings_at_nodes = []
-    touch_nodes = []
-    for j in range(1, len(v) - 1):
-        if (abs(v[j]) < TOUCH_TOL * vmax
-                and max(abs(v[j - 1]), abs(v[j + 1])) >= NOISE_TOL * vmax):
-            if v[j - 1] * v[j + 1] < 0.0:
-                crossings_at_nodes.append(t[j])
-            elif v[j - 1] * v[j + 1] > 0.0:
-                touch_nodes.append(j)
-    zeros.extend(crossings_at_nodes)
+    near = ((av[1:-1] < TOUCH_TOL * vmax)
+            & (np.maximum(av[:-2], av[2:]) >= NOISE_TOL * vmax))
+    flanks = v[:-2] * v[2:]
+    zeros.extend(t[np.flatnonzero(near & (flanks < 0.0)) + 1])
+    touch_nodes = (np.flatnonzero(near & (flanks > 0.0)) + 1).tolist()
 
     # a flat contact can put several consecutive nodes under the touch
     # threshold: one zero per cluster.  At a genuine double contact the
     # third derivative crosses zero there and locates the contact far
     # more sharply than the flat |u| samples do; otherwise fall back to
     # the vertex of the parabola through the smallest sample.
-    d3 = None
+    d3 = _fields[2].values
     cluster = []
     for j in touch_nodes + [None]:
         if cluster and (j is None or j - cluster[-1] > 2):
             jm = min(cluster, key=lambda i: abs(v[i]))
-            if d3 is None:
-                d3 = derivative(u, 3).values
             root = None
             for i in range(max(1, jm - 2), min(len(v) - 2, jm + 2) + 1):
                 if d3[i] * d3[i + 1] < 0.0:
-                    root = t[i] - d3[i] * u.grid.h / (d3[i + 1] - d3[i])
+                    root = t[i] - d3[i] * h / (d3[i + 1] - d3[i])
                     break
             if root is None:
                 denom = v[jm - 1] - 2.0 * v[jm] + v[jm + 1]
-                shift = (0.5 * (v[jm - 1] - v[jm + 1]) / denom * u.grid.h
-                         if denom != 0.0 else 0.0)
-                root = t[jm] + float(np.clip(shift, -u.grid.h, u.grid.h))
+                shift = 0.5 * (v[jm - 1] - v[jm + 1]) / denom * h if denom != 0.0 else 0.0
+                root = t[jm] + float(np.clip(shift, -h, h))
             zeros.append(root)
             cluster = []
         if j is not None:
@@ -158,7 +163,7 @@ def find_zeros(u):
     zeros.sort()
     merged = []
     for z in zeros:
-        if not merged or z - merged[-1] > 0.5 * u.grid.h:
+        if not merged or z - merged[-1] > 0.5 * h:
             merged.append(z)
     return merged
 
@@ -180,10 +185,9 @@ def classify_zero(u, t_star, _fields=None):
     if not (0.0 < t_star < 1.0):
         raise OutOfDomain(f"t_star={t_star} is not in (0, 1)")
     if _fields is None:
-        _fields = tuple(derivative(u, k) for k in (1, 2, 3))
+        _fields = _derivative_fields(u)
     d1, d2, d3 = (_interp_linear(u.grid, f.values, t_star) for f in _fields)
-    scale = e_norm(u).value
-    globally_small = max(abs(d1), abs(d2), abs(d3)) < DOUBLE_TOL * scale
+    globally_small = max(abs(d1), abs(d2), abs(d3)) < DOUBLE_TOL * _scale(u, _fields)
 
     half = max(4 * u.grid.h, 0.01)
     lo = max(0, int(np.floor((t_star - half) / u.grid.h)))
@@ -204,17 +208,16 @@ def nodal_profile(u):
     double; a simple touch-zero is recorded as an anomaly instead, since a
     nontrivial solution of the beam equation cannot have one.
     """
-    norm = e_norm(u)
-    if norm.value <= TRIVIAL_TOL:
+    fields = _derivative_fields(u)
+    if _scale(u, fields) <= TRIVIAL_TOL:
         raise TrivialFunction("nodal profile needs a nontrivial function")
     v = u.values
     vmax = np.max(np.abs(v))
-    fields = tuple(derivative(u, k) for k in (1, 2, 3))
 
     records = []
     anomalies = []
     h = u.grid.h
-    for z in find_zeros(u):
+    for z in find_zeros(u, _fields=fields):
         j = int(round(z / h))
         is_touch = (0 < j < len(v) - 1
                     and abs(v[j]) < TOUCH_TOL * vmax
@@ -231,11 +234,8 @@ def nodal_profile(u):
             continue
         records.append(rec)
 
-    sigma = 0
-    for val in v[1:-1]:
-        if abs(val) > 1e-13 * vmax:
-            sigma = 1 if val > 0 else -1
-            break
+    signed = v[1:-1][np.abs(v[1:-1]) > 1e-13 * vmax]
+    sigma = 0 if signed.size == 0 else (1 if signed[0] > 0 else -1)
     return NodalProfile(
         count=len(records),
         sigma=sigma,

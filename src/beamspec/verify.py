@@ -15,6 +15,7 @@ from .continuation import (ContinuationConfig, bifurcation_start,
                            trace_branch)
 from .errors import GammaNotAdmissible, HypothesisViolated
 from .grid import derivative, e_norm, interior_dot, make_grid, sample
+from .nodal import nodal_profile
 from .nonlinear import AutonomousProblem, PerturbedProblem, fp_residual
 from .presets import (WEIGHTS, cubic_perturbation, saturating_f,
                       zero_perturbation)
@@ -53,7 +54,6 @@ def check_nodal_counts(spectra):
     exactly k - 1 interior zeros, all generalized simple, in every sign
     class of every built-in weight where that class is populated; the
     constant weight populates k = 1..6 completely."""
-    from .nodal import nodal_profile
     details = {}
     ok = True
     for name, res in spectra.items():
@@ -293,7 +293,6 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
         spec = AutonomousProblem(m=m, gamma=gamma, f=f)
         for sigma in (+1, -1):
             u = solve_nodal(gamma, f, m, k, +1, sigma, spectrum_result=res)
-            from .nodal import nodal_profile
             profile = nodal_profile(u)
             rmax, _ = fp_residual(u, 1.0, spec)
             slope0 = derivative(u, 1).values[0]
@@ -339,7 +338,6 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
         config = ContinuationConfig(norm_budget=5e3, max_steps=2000)
         pairs = solve_nodal_range(gamma_w, f_wide, m, 1, 2, config=config)
         counts = []
-        from .nodal import nodal_profile
         for j, (up, um) in enumerate(pairs, start=1):
             counts.append((nodal_profile(up).count, nodal_profile(um).count))
         wide_ok = len(pairs) == 2 and counts == [(0, 0), (1, 1)]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from beamspec.errors import OutOfDomain, TrivialFunction
-from beamspec.grid import SampledFn, make_grid, sample
-from beamspec.nodal import (GENERALIZED_DOUBLE, GENERALIZED_SIMPLE,
+from beamspec.grid import SampledFn, derivative, e_norm, make_grid, sample
+from beamspec.nodal import (GENERALIZED_DOUBLE, GENERALIZED_SIMPLE, NOISE_TOL,
+                            TOUCH_TOL, TRIVIAL_TOL, _quadratic_root,
                             classify_zero, find_zeros, nodal_profile)
 
 
@@ -131,3 +132,140 @@ def test_profile_json():
     assert blob["count"] == 1
     assert blob["sigma"] == "+"
     assert blob["zeros"][0]["kind"] == GENERALIZED_SIMPLE
+
+
+def _find_zeros_loop(u):
+    # reference implementation, one scalar test per node; the library's
+    # whole-grid masks must return the same list, bit for bit
+    if e_norm(u).value <= TRIVIAL_TOL:
+        raise TrivialFunction("zero search needs a nontrivial function")
+    v = u.values
+    t = u.grid.nodes
+    vmax = np.max(np.abs(v))
+    zeros = []
+
+    # sign changes between interior node pairs
+    for j in range(1, len(v) - 2):
+        if max(abs(v[j]), abs(v[j + 1])) < NOISE_TOL * vmax:
+            continue
+        if v[j] * v[j + 1] < 0.0:
+            root = None
+            if abs(v[j]) <= abs(v[j + 1]):
+                root = _quadratic_root(t[j - 1:j + 2], v[j - 1:j + 2], t[j], t[j + 1])
+            elif j + 2 < len(v):
+                root = _quadratic_root(t[j:j + 3], v[j:j + 3], t[j], t[j + 1])
+            if root is None:
+                root = t[j] - v[j] * (t[j + 1] - t[j]) / (v[j + 1] - v[j])
+            zeros.append(root)
+
+    # near-zero nodes: crossings that hit a node, and touch candidates;
+    # both need flanking samples above the float-noise floor, otherwise
+    # the "zero" is structure the data cannot support
+    crossings_at_nodes = []
+    touch_nodes = []
+    for j in range(1, len(v) - 1):
+        if (abs(v[j]) < TOUCH_TOL * vmax
+                and max(abs(v[j - 1]), abs(v[j + 1])) >= NOISE_TOL * vmax):
+            if v[j - 1] * v[j + 1] < 0.0:
+                crossings_at_nodes.append(t[j])
+            elif v[j - 1] * v[j + 1] > 0.0:
+                touch_nodes.append(j)
+    zeros.extend(crossings_at_nodes)
+
+    # a flat contact can put several consecutive nodes under the touch
+    # threshold: one zero per cluster.  At a genuine double contact the
+    # third derivative crosses zero there and locates the contact far
+    # more sharply than the flat |u| samples do; otherwise fall back to
+    # the vertex of the parabola through the smallest sample.
+    d3 = None
+    cluster = []
+    for j in touch_nodes + [None]:
+        if cluster and (j is None or j - cluster[-1] > 2):
+            jm = min(cluster, key=lambda i: abs(v[i]))
+            if d3 is None:
+                d3 = derivative(u, 3).values
+            root = None
+            for i in range(max(1, jm - 2), min(len(v) - 2, jm + 2) + 1):
+                if d3[i] * d3[i + 1] < 0.0:
+                    root = t[i] - d3[i] * u.grid.h / (d3[i + 1] - d3[i])
+                    break
+            if root is None:
+                denom = v[jm - 1] - 2.0 * v[jm] + v[jm + 1]
+                shift = (0.5 * (v[jm - 1] - v[jm + 1]) / denom * u.grid.h
+                         if denom != 0.0 else 0.0)
+                root = t[jm] + float(np.clip(shift, -u.grid.h, u.grid.h))
+            zeros.append(root)
+            cluster = []
+        if j is not None:
+            cluster.append(j)
+
+    zeros.sort()
+    merged = []
+    for z in zeros:
+        if not merged or z - merged[-1] > 0.5 * u.grid.h:
+            merged.append(z)
+    return merged
+
+
+def test_find_zeros_matches_loop_on_eigenfunctions(spectrum_one800, spectrum_sin3pi800):
+    for res in (spectrum_one800, spectrum_sin3pi800):
+        for pair in res.positive + res.negative:
+            assert find_zeros(pair.phi) == _find_zeros_loop(pair.phi)
+
+
+def test_shared_fields_give_e_norm_bit_for_bit(spectrum_sin3pi800):
+    # a profile takes u', u'' and u''' once; the scale summed from them
+    # must equal the e_norm value exactly, or the thresholds would move
+    from beamspec.nodal import _derivative_fields, _scale
+    for pair in spectrum_sin3pi800.positive + spectrum_sin3pi800.negative:
+        assert _scale(pair.phi, _derivative_fields(pair.phi)) == e_norm(pair.phi).value
+
+
+def test_find_zeros_matches_loop_on_node_crossing():
+    # t = 1/2 is node 400 of n = 799: the crossing lands on a node and the
+    # node candidate is deduplicated against the refined root
+    g = make_grid(799)
+    u = sample(lambda t: np.sin(2 * np.pi * t), g)
+    assert abs(u.values[400]) < TOUCH_TOL
+    zeros = find_zeros(u)
+    assert zeros == _find_zeros_loop(u)
+    assert len(zeros) == 1
+
+
+def test_find_zeros_matches_loop_refined_from_either_side():
+    # on n = 799 the root 1/3 sits nearer its right sample and 2/3 nearer
+    # its left one, so both quadratic stencils are used
+    g = make_grid(799)
+    u = sample(lambda t: np.sin(3 * np.pi * t), g)
+    zeros = find_zeros(u)
+    assert zeros == _find_zeros_loop(u)
+    nearer_left = []
+    for z in zeros:
+        j = int(z / g.h)
+        nearer_left.append(abs(u.values[j]) <= abs(u.values[j + 1]))
+    assert nearer_left == [False, True]
+
+
+def test_find_zeros_matches_loop_on_touch_and_crossing():
+    g = make_grid(1000)
+    u = sample(lambda t: (t * (1 - t)) ** 2 * (t - 0.3) ** 4 * (t - 0.7), g)
+    zeros = find_zeros(u)
+    assert zeros == _find_zeros_loop(u)
+    assert len(zeros) == 2
+
+
+def test_find_zeros_ignores_sign_flips_below_noise():
+    # a hump ending at t = 0.6, then a tail that flips sign at every node
+    # a hundred times below the NOISE_TOL floor
+    g = make_grid(399)
+    t = g.nodes
+    v = np.where(t <= 0.6, np.sin(np.pi * t / 0.6), 0.0)
+    v[t > 0.6] = 1e-14 * (-1.0) ** np.arange(np.count_nonzero(t > 0.6))
+    v[-1] = 0.0
+    u = SampledFn(g, v)
+    tail = v[t > 0.6]
+    assert np.count_nonzero(tail[:-1] * tail[1:] < 0.0) > 100
+    assert np.max(np.abs(tail)) < NOISE_TOL * np.max(np.abs(u.values))
+    zeros = find_zeros(u)
+    assert zeros == _find_zeros_loop(u)
+    assert all(z <= 0.6 + g.h for z in zeros)

@@ -184,6 +184,22 @@ def test_jacobian_slope_matches_finite_differences():
     assert np.max(np.abs(analytic - fd)) <= 1e-6 * (1.0 + np.max(np.abs(analytic)))
 
 
+def test_cubic_evaluate_is_the_cube():
+    # s * s * s rounds twice where a correctly rounded pow rounds once:
+    # at most a few ulp apart, so 4 eps relative is fixed by float64 alone
+    cub = cubic_perturbation()
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 1.0, 2002)
+    s = rng.choice((-1.0, 1.0), t.size) * 10.0 ** rng.uniform(-3.0, 3.0, t.size)
+    cube = cub.evaluate(t, s, 2.0)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(cube - s ** 3) <= 4.0 * eps * np.abs(s ** 3))
+    # a scalar s broadcasts over an array t
+    spread = cub.evaluate(t, 1.5, 2.0)
+    assert spread.shape == t.shape
+    assert np.all(spread == 1.5 * 1.5 * 1.5)
+
+
 def test_autonomous_source_terms():
     g, one = _one(128)
     f = saturating_f()
