@@ -10,10 +10,12 @@ or the leading sign is rejected with a halved step (a genuine change
 would require a generalized double zero, which nontrivial solutions
 cannot have; persistent failure at the minimum step aborts).
 
-Branch points keep the fixed-point residual below
-corrector_tol * (1 + e_norm(u)); the amplitude factor reflects the float
-noise floor of the residual evaluation, which is proportional to the
-solution amplitude.
+Both the start polish and every branch step call nonlinear.newton with
+one scalar border.  Branch points keep the fixed-point residual below
+corrector_tol * (1 + e_norm), with e_norm that of the predictor or of the
+previous point, whichever is larger; the amplitude factor reflects the
+float noise floor of the residual evaluation, which is proportional to
+the solution amplitude.
 
 The nodal-solution driver reformulates u'''' = gamma m f(u) with an
 auxiliary factor mu on the right-hand side, starts the (k, nu, sigma)
@@ -25,16 +27,14 @@ original problem, to corrector_tol with no amplitude factor.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (AsymptoticMismatch, GammaNotAdmissible, NoConvergence,
                      NoCrossing, SingularJacobian, StartFailure,
                      StepFailure, ValidationError)
 from .grid import SampledFn, e_norm, from_interior, interior_dot
-from .linops import SecondDiffOperator
 from .nodal import nodal_profile
-from .nonlinear import (AutonomousProblem, _checked_splu, _mixed_jacobian,
-                        check_asymptotics, fp_residual, newton)
+from .nonlinear import (AutonomousProblem, check_asymptotics, fp_residual,
+                        newton)
 from .spectrum import MAX_PAIRS, eigen_pencil
 
 TERM_NORM_BUDGET = "NormBudget"
@@ -91,8 +91,9 @@ class Branch:
         return [p.norm.value for p in self.points]
 
 
-def _point_tol(config, enorm_value):
-    return config.corrector_tol * (1.0 + enorm_value)
+def _point_tol(config, u0, scale):
+    """Branch-point tolerance for a correction started at u0."""
+    return config.corrector_tol * (1.0 + max(e_norm(u0).value, scale))
 
 
 def _validate_trivial_line(spec, mu):
@@ -102,52 +103,6 @@ def _validate_trivial_line(spec, mu):
     if np.max(np.abs(src)) > 1e-12 * (1.0 + abs(mu)):
         raise ValidationError(
             "source term does not vanish on the trivial line u = 0")
-
-
-def _bordered_newton(spec, u, mu, row_u, row_mu, rhs_of, config,
-                     scale_hint=1.0):
-    """Newton on the mixed system plus one scalar constraint.
-
-    row_u (interior vector), row_mu: the constraint gradient; rhs_of(u, mu)
-    returns the constraint residual.  Returns (u, mu) with the fixed-point
-    residual below the amplitude-relative tolerance and the constraint
-    satisfied to the same precision.
-    """
-    a = SecondDiffOperator(spec.grid)
-    n = spec.grid.n_interior
-    ui = u.interior.copy()
-    w = a.apply(ui)
-    for _ in range(config.max_corrector_iter):
-        ufn = from_interior(spec.grid, ui)
-        merit_eq, _ = fp_residual(ufn, mu, spec)
-        rc = rhs_of(ufn, mu)
-        tol = _point_tol(config, max(e_norm(ufn).value, scale_hint))
-        if merit_eq <= tol and abs(rc) <= tol:
-            return ufn, mu
-        r1 = a.apply(ui) - w
-        r2 = a.apply(w) - spec.source(ui, mu)
-        jac = _mixed_jacobian(spec, ui, mu)
-        mu_col = sp.csc_matrix(
-            np.concatenate([np.zeros(n), -spec.source_mu_slope(ui, mu)])[:, None])
-        row = sp.csc_matrix(np.concatenate([row_u, np.zeros(n)])[None, :])
-        corner = sp.csc_matrix([[row_mu]])
-        big = sp.bmat([[jac, mu_col], [row, corner]], format="csc")
-        lu = _checked_splu(big, condition_check=False)
-        delta = lu.solve(-np.concatenate([r1, r2, [rc]]))
-        base = merit_eq + abs(rc)
-        step = 1.0
-        while step >= 2.0**-16:
-            ut = ui + step * delta[:n]
-            mt = mu + step * delta[2 * n]
-            trial_fn = from_interior(spec.grid, ut)
-            trial = fp_residual(trial_fn, mt, spec)[0] + abs(rhs_of(trial_fn, mt))
-            if trial <= (1.0 - 1e-4 * step) * base:
-                break
-            step *= 0.5
-        ui = ui + step * delta[:n]
-        w = w + step * delta[n:2 * n]
-        mu = mu + step * delta[2 * n]
-    raise NoConvergence("bordered corrector exhausted its iteration budget")
 
 
 def _spectrum_for(m, k, nu, spectrum_result):
@@ -192,10 +147,9 @@ def bifurcation_start(k, nu, sigma, spec, config=None, spectrum_result=None):
 
         u0 = eps * sigma * phi
         try:
-            u, mu = _bordered_newton(spec, u0, origin_mu,
-                                     row_u=phi.grid.h * phi.interior, row_mu=0.0,
-                                     rhs_of=constraint, config=config,
-                                     scale_hint=eps)
+            u, mu = newton(u0, origin_mu, spec, tol=_point_tol(config, u0, eps),
+                           max_iter=config.max_corrector_iter,
+                           border=(phi.grid.h * phi.interior, 0.0, constraint))
             profile = nodal_profile(u)
             norm = e_norm(u)
             if (profile.count == k - 1 and profile.sigma == sigma
@@ -257,10 +211,10 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                         + t_mu * (mu - _cmu) / mu_scale - _ds)
 
             try:
-                u, mu = _bordered_newton(spec, pred_u, pred_mu,
-                                         row_u=h * t_u, row_mu=t_mu / mu_scale,
-                                         rhs_of=arc_constraint, config=config,
-                                         scale_hint=cur.norm.value)
+                u, mu = newton(pred_u, pred_mu, spec,
+                               tol=_point_tol(config, pred_u, cur.norm.value),
+                               max_iter=config.max_corrector_iter,
+                               border=(h * t_u, t_mu / mu_scale, arc_constraint))
                 profile = nodal_profile(u)
                 if (profile.count, profile.sigma) != (k - 1, sigma) or not profile.is_nodal:
                     raise StepFailure(

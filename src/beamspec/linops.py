@@ -9,18 +9,22 @@ vanish by construction and no ghost points are needed.
 Solving -u'' = e is written Lam(e) (one tridiagonal elimination, O(n));
 Lam2 = Lam o Lam inverts the fourth-order operator.  All operators are
 immutable and every operation is pure.
+
+Every linearization K - diag(F_u) is factored as the mixed matrix
+[[A, -I], [-diag(F_u), A]] in (u, w = A u) by one banded LU, _MixedLU,
+so no fourth difference is ever formed.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, solve_banded
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
 
 from .errors import GridMismatch, OnEigenvalue
 from .grid import Grid, SampledFn, from_interior, same_grid
 
-# Relative pivot size below which an LU factorization is treated as singular.
-PIVOT_TOL = 1e-13
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,31 +120,63 @@ def t_mu(u, mu, m):
     return mu * lambda2(SampledFn(u.grid, m.values * u.values))
 
 
-def inverse_mass_matrix(grid, m):
-    """Dense matrix of K^-1 M on interior nodes, via two banded solve passes."""
-    a = SecondDiffOperator(grid)
-    return a.solve(a.solve(np.diag(m.interior)))
+class _MixedLU:
+    """Band LU of [[A, -I], [-diag(fu), A]] with the unknowns interleaved.
+
+    Row 2i is the u-equation and row 2i+1 the w-equation at node i, so the
+    interleaved matrix has kl = ku = 2.  It is a symmetric permutation of
+    the block matrix, whose determinant is det(A^2 - diag(fu)) = det(K - F_u).
+    """
+
+    def __init__(self, grid, fu):
+        n, h2 = grid.n_interior, grid.h**2
+        # LAPACK band storage: entry (i, j) at row 4 + i - j; rows 0-1 are
+        # left free for the fill-in of partial pivoting
+        ab = np.zeros((7, 2 * n))
+        ab[2, 2:] = -1.0 / h2          # (i, i + 2): next node, same field
+        ab[3, 1::2] = -1.0             # (2i, 2i + 1): -w_i in the u-equation
+        ab[4, :] = 2.0 / h2
+        ab[5, 0::2] = -fu              # (2i + 1, 2i): -F_u u_i in the w-equation
+        ab[6, :-2] = -1.0 / h2         # (i, i - 2): previous node, same field
+        self.anorm = float(np.max(np.sum(np.abs(ab), axis=0)))
+        self.lu, self.piv, self.info = dgbtrf(ab, 2, 2)
+
+    def solve(self, ru, rw):
+        """(u, w) parts of the solution; ru, rw may be matrices of columns."""
+        b = np.empty((2 * len(ru),) + np.shape(ru)[1:])
+        b[0::2], b[1::2] = ru, rw
+        x, _ = dgbtrs(self.lu, 2, 2, b, self.piv)
+        return x[0::2], x[1::2]
+
+    def rcond(self):
+        """LAPACK estimate of 1 / cond_1; 0 when a pivot is exactly zero."""
+        if self.info > 0:
+            return 0.0
+        return dgbcon(2, 2, self.lu, self.piv, self.anorm)[0]
+
+    def det_sign(self):
+        """Sign of the determinant: pivot parity times the signs of U's diagonal."""
+        flips = (np.count_nonzero(self.piv != np.arange(len(self.piv)))
+                 + np.count_nonzero(self.lu[4] < 0))
+        return -1 if flips % 2 else 1
 
 
 def det_sign_psi(mu, m, eigenvalues=None):
     """Sign of det(I - mu K^-1 M), the discrete degree surrogate for I - T_mu.
 
-    Computed by dense LU with partial pivoting.  When the known pencil
+    det(I - mu K^-1 M) = det(K - mu M) / det K with det K > 0, so the sign
+    is that of the banded _MixedLU at F_u = mu m.  When the known pencil
     eigenvalues are supplied, mu must keep a relative distance of 1e-8 from
-    each; independently, a pivot smaller than PIVOT_TOL times the matrix
-    magnitude raises OnEigenvalue rather than returning a garbage sign.
+    each; independently, a reciprocal condition estimate below machine
+    epsilon raises OnEigenvalue rather than returning a garbage sign.
     """
     if eigenvalues is not None:
         for ev in eigenvalues:
             if abs(mu - ev) <= 1e-8 * abs(mu):
                 raise OnEigenvalue(f"mu={mu} is within 1e-8 of eigenvalue {ev}")
-    n = m.grid.n_interior
-    c = np.eye(n) - mu * inverse_mass_matrix(m.grid, m)
-    scale = np.max(np.abs(c))
-    lu, piv = lu_factor(c)
-    diag = np.diag(lu)
-    if np.min(np.abs(diag)) < PIVOT_TOL * scale:
-        raise OnEigenvalue(f"LU pivot underflow at mu={mu}: shift is numerically singular")
-    sign = 1 if np.count_nonzero(piv != np.arange(n)) % 2 == 0 else -1
-    sign *= int(np.prod(np.sign(diag)))
-    return sign
+    lu = _MixedLU(m.grid, mu * m.interior)
+    rcond = lu.rcond()
+    if rcond < EPS:
+        raise OnEigenvalue(f"reciprocal condition {rcond:.1e} at mu={mu}: "
+                           "shift is numerically singular")
+    return lu.det_sign()

@@ -26,21 +26,21 @@ system in (u, w), w = -u'':
 
     A u - w = 0,      A w - F(u, mu) = 0,
 
-whose sparse Jacobian [[A, -I], [-diag(F_u), A]] is factored in O(n); in
-exact arithmetic its u-iterates coincide with Newton on K u = F, but no
-fourth difference is ever formed.
+whose Jacobian [[A, -I], [-diag(F_u), A]] gets one banded LU per iteration
+(linops._MixedLU, O(n)); in exact arithmetic its u-iterates coincide with
+Newton on K u = F, but no fourth difference is ever formed.  The same
+corrector frees mu under one scalar constraint (the border used by
+continuation) and solves the bordered system by block elimination.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (AsymptoticMismatch, BoundaryViolation, NoConvergence,
                      SingularJacobian)
-from .grid import SampledFn, e_norm, from_interior, same_grid
-from .linops import PIVOT_TOL, SecondDiffOperator, lambda2
+from .grid import SampledFn, e_norm, from_interior
+from .linops import EPS, SecondDiffOperator, _MixedLU, lambda2
 
 
 @dataclass(frozen=True)
@@ -163,56 +163,45 @@ def fp_residual(u, mu, spec):
     return float(np.max(np.abs(r.values))), r
 
 
-def _mixed_jacobian(spec, u_int, mu):
-    """Sparse [[A, -I], [-diag(F_u), A]] on the doubled interior unknowns."""
-    n = spec.grid.n_interior
-    h = spec.grid.h
-    a = sp.diags([np.full(n - 1, -1.0 / h**2),
-                  np.full(n, 2.0 / h**2),
-                  np.full(n - 1, -1.0 / h**2)], (-1, 0, 1), format="csr")
-    eye = sp.identity(n, format="csr")
-    fu = sp.diags(spec.source_slope(u_int, mu), format="csr")
-    return sp.bmat([[a, -eye], [-fu, a]], format="csc")
+def _bordered_solve(lu, a, fu, fmu, r1, r2, row_u, row_mu, rc):
+    """Newton step of the mixed system bordered by one scalar equation.
+
+    Solves J (du, dw) - (0, fmu) dmu = -(r1, r2), row_u . du + row_mu dmu
+    = -rc by block elimination on the factored J, then one step of
+    iterative refinement on the bordered residual, which restores the
+    accuracy that plain elimination loses when J is nearly singular (as
+    at every branch start).
+    """
+    vu, vw = lu.solve(np.column_stack([-r1, np.zeros_like(r1)]),
+                      np.column_stack([-r2, fmu]))
+    schur = row_mu + row_u @ vu[:, 1]
+    if abs(schur) <= EPS * (abs(row_mu) + np.abs(row_u) @ np.abs(vu[:, 1])):
+        raise SingularJacobian("bordered Schur complement vanishes; "
+                               "the constraint does not fix the branch")
+    dmu = (-rc - row_u @ vu[:, 0]) / schur
+    du, dw = vu[:, 0] + dmu * vu[:, 1], vw[:, 0] + dmu * vw[:, 1]
+    eu, ew = lu.solve(-r1 - (a.apply(du) - dw),
+                      -r2 - (a.apply(dw) - fu * du - fmu * dmu))
+    emu = (-rc - row_u @ du - row_mu * dmu - row_u @ eu) / schur
+    return du + eu + emu * vu[:, 1], dw + ew + emu * vw[:, 1], dmu + emu
 
 
-# condition estimate beyond which the linearization is numerically singular
-SINGULAR_KAPPA = 1e14
+def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
+    """Damped Newton for the beam equation, at fixed mu or along a border.
 
+    Iterates on the mixed (u, w) system with one banded LU per iteration;
+    a step is accepted when it reduces the merit, the fixed-point residual
+    plus the border residual (Armijo halving with floor 2^-16).  Converges
+    when both residuals drop below tol, default 1e-10 * (1 + e_norm(u0)).
+    Without a border, a reciprocal condition estimate below machine
+    epsilon raises SingularJacobian: mu sits at a bifurcation point.
 
-def _checked_splu(jac, condition_check=True):
-    scale = np.max(np.abs(jac.data))
-    try:
-        lu = splu(jac)
-    except RuntimeError as exc:
-        raise SingularJacobian(str(exc)) from exc
-    if np.min(np.abs(lu.U.diagonal())) < PIVOT_TOL * scale:
-        raise SingularJacobian("pivot below 1e-13 of the matrix scale; "
-                               "parameter sits at a bifurcation point")
-    if condition_check:
-        # permuted sparse pivots do not expose near-singularity of the
-        # underlying fourth-order system reliably; estimate ||J^-1|| by a
-        # few deterministic inverse power steps instead
-        x = np.full(jac.shape[0], 1.0 / np.sqrt(jac.shape[0]))
-        gain = 1.0
-        for _ in range(4):
-            y = lu.solve(x)
-            gain = np.linalg.norm(y)
-            x = y / gain
-        kappa = gain * sp.linalg.norm(jac, 1)
-        if kappa > SINGULAR_KAPPA:
-            raise SingularJacobian(
-                f"estimated condition {kappa:.2e} exceeds {SINGULAR_KAPPA:.0e}; "
-                "parameter sits at a bifurcation point")
-    return lu
-
-
-def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False):
-    """Damped Newton for the beam equation at fixed mu.
-
-    Iterates on the mixed (u, w) system with sparse LU solves; a step is
-    accepted when it reduces the fixed-point residual (Armijo halving with
-    floor 2^-16).  Converges when the fixed-point residual max-norm drops
-    below tol, default 1e-10 * (1 + e_norm(u0)).
+    border = (row_u, row_mu, rhs) frees mu under the scalar equation
+    rhs(u, mu) = 0 with gradient (row_u, row_mu) in (interior u, mu); the
+    result is then (u, mu).  The bordered matrix is regular at simple
+    bifurcation points, so it raises SingularJacobian only on an exactly
+    zero pivot or a vanishing Schur complement.  With return_info, the
+    result is followed by {"iterations", "history"}.
     """
     check_boundary(u0)
     if tol is None:
@@ -220,12 +209,20 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False):
     a = SecondDiffOperator(spec.grid)
     u = u0.interior.copy()
     w = a.apply(u)
+
+    def residuals(u, mu):
+        ufn = from_interior(spec.grid, u)
+        rc = 0.0 if border is None else border[2](ufn, mu)
+        return fp_residual(ufn, mu, spec)[0], rc
+
     history = []
     for iteration in range(max_iter + 1):
-        merit, _ = fp_residual(from_interior(spec.grid, u), mu, spec)
-        history.append(merit)
-        if merit <= tol:
+        merit_eq, rc = residuals(u, mu)
+        history.append(merit_eq + abs(rc))
+        if merit_eq <= tol and abs(rc) <= tol:
             result = from_interior(spec.grid, u)
+            if border is not None:
+                result = (result, mu)
             if return_info:
                 return result, {"iterations": iteration, "history": history}
             return result
@@ -233,19 +230,31 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False):
             break
         r1 = a.apply(u) - w
         r2 = a.apply(w) - spec.source(u, mu)
-        lu = _checked_splu(_mixed_jacobian(spec, u, mu))
-        delta = lu.solve(-np.concatenate([r1, r2]))
-        du, dw = delta[:len(u)], delta[len(u):]
+        fu = spec.source_slope(u, mu)
+        lu = _MixedLU(spec.grid, fu)
+        if border is None:
+            rcond = lu.rcond()
+            if rcond < EPS:
+                raise SingularJacobian(f"reciprocal condition {rcond:.1e}; "
+                                       "parameter sits at a bifurcation point")
+            du, dw = lu.solve(-r1, -r2)
+            dmu = 0.0
+        else:
+            if lu.info > 0:
+                raise SingularJacobian("zero pivot in the mixed Jacobian")
+            du, dw, dmu = _bordered_solve(lu, a, fu, spec.source_mu_slope(u, mu),
+                                          r1, r2, border[0], border[1], rc)
         step = 1.0
         while step >= 2.0**-16:
-            trial_merit, _ = fp_residual(from_interior(spec.grid, u + step * du), mu, spec)
-            if trial_merit <= (1.0 - 1e-4 * step) * merit:
+            trial_eq, trial_c = residuals(u + step * du, mu + step * dmu)
+            if trial_eq + abs(trial_c) <= (1.0 - 1e-4 * step) * history[-1]:
                 break
             step *= 0.5
         u = u + step * du
         w = w + step * dw
+        mu = mu + step * dmu
     raise NoConvergence(
-        f"newton stalled at fixed-point residual {history[-1]:.3e} "
+        f"newton stalled at residual {history[-1]:.3e} "
         f"(tol {tol:.3e}) after {max_iter} iterations")
 
 

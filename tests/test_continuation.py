@@ -6,9 +6,11 @@ from beamspec.continuation import (ContinuationConfig, admissible_interval,
                                    solve_nodal, trace_branch)
 from beamspec.errors import GammaNotAdmissible, NotInWeightClass
 from beamspec.grid import e_norm, interior_dot, make_grid, sample
-from beamspec.nonlinear import AutonomousProblem, PerturbedProblem, fp_residual
-from beamspec.presets import (cubic_perturbation, linear_f, saturating_f,
-                              zero_perturbation)
+from beamspec.linops import SecondDiffOperator, _MixedLU
+from beamspec.nonlinear import (AutonomousProblem, PerturbedProblem,
+                                _bordered_solve, fp_residual)
+from beamspec.presets import (WEIGHTS, cubic_perturbation, linear_f,
+                              saturating_f, zero_perturbation)
 from beamspec.shooting import shoot_nodal_solution
 from beamspec.spectrum import eigen_pencil
 
@@ -256,3 +258,52 @@ def test_admissible_interval_orientation():
     lo2, hi2 = admissible_interval(100.0, damped)
     assert lo2 == pytest.approx(100.0)
     assert hi2 == pytest.approx(200.0)
+
+
+def _start_system(n, weight, k, pairs):
+    """Bordered Newton system of the start polish at (mu_k, 1e-3 phi_k)."""
+    g = make_grid(n)
+    m = sample(WEIGHTS[weight], g)
+    pair = eigen_pencil(m, pairs, 0).pair(k, +1)
+    spec = PerturbedProblem(m=m, g=cubic_perturbation())
+    a = SecondDiffOperator(g)
+    u = 1e-3 * pair.phi.interior
+    w = a.apply(u)
+    fu = spec.source_slope(u, pair.mu)
+    fmu = spec.source_mu_slope(u, pair.mu)
+    r1 = a.apply(u) - w
+    r2 = a.apply(w) - spec.source(u, pair.mu)
+    row_u = g.h * pair.phi.interior
+    step = _bordered_solve(_MixedLU(g, fu), a, fu, fmu, r1, r2, row_u, 0.0, 0.0)
+    return a, fu, fmu, r1, r2, row_u, step
+
+
+@pytest.mark.parametrize("weight", ["one", "sin3pi"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bordered_step_matches_dense_solve(weight, k):
+    # J is singular to rounding at mu_k; the bordered matrix is not, and
+    # block elimination with one refinement must match a dense solve of it
+    a, fu, fmu, r1, r2, row_u, (du, dw, dmu) = _start_system(N, weight, k, 6)
+    n = N
+    lap = np.diag(np.full(n, 2.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lap /= make_grid(n).h ** 2
+    big = np.zeros((2 * n + 1, 2 * n + 1))
+    big[:n, :n] = lap
+    big[:n, n:2 * n] = -np.eye(n)
+    big[n:2 * n, :n] = -np.diag(fu)
+    big[n:2 * n, n:2 * n] = lap
+    big[n:2 * n, 2 * n] = -fmu
+    big[2 * n, :n] = row_u
+    ref = np.linalg.solve(big, -np.concatenate([r1, r2, [0.0]]))
+    for got, want in ((du, ref[:n]), (dw, ref[n:2 * n]), (dmu, ref[2 * n])):
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_bordered_step_regular_where_pivot_test_fired():
+    # sin3pi, k = 4 at n = 2000: a pivot-size test on the assembled bordered
+    # matrix called this start singular; block elimination solves it
+    a, fu, fmu, r1, r2, row_u, (du, dw, dmu) = _start_system(2000, "sin3pi", 4, 4)
+    e1 = -r1 - (a.apply(du) - dw)
+    e2 = -r2 - (a.apply(dw) - fu * du - fmu * dmu)
+    worst = max(np.max(np.abs(e1)), np.max(np.abs(e2)), abs(row_u @ du))
+    assert worst <= 1e-12 * np.max(np.abs(r2))

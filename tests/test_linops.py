@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
+from beamspec.analysis import parity_samples
 from beamspec.errors import GridMismatch, OnEigenvalue
 from beamspec.grid import SampledFn, from_interior, make_grid, sample
 from beamspec.linops import (SecondDiffOperator, StiffnessOperator,
                              det_sign_psi, lambda2, lambda_solve, t_mu)
+from beamspec.presets import WEIGHTS
+from beamspec.spectrum import widest_resolvable_window
 
 
 def test_lambda_solve_constant_load():
@@ -182,3 +186,41 @@ def test_det_sign_eigenvalue_guard():
     ev = 97.40909103
     with pytest.raises(OnEigenvalue):
         det_sign_psi(ev * (1.0 + 1e-9), one, eigenvalues=[ev])
+
+
+def _inverse_mass_matrix(grid, m):
+    """Dense matrix of K^-1 M on interior nodes, via two banded solve passes."""
+    a = SecondDiffOperator(grid)
+    return a.solve(a.solve(np.diag(m.interior)))
+
+
+def _det_sign_dense(mu, m):
+    """Reference sign of det(I - mu K^-1 M): dense LU with partial pivoting."""
+    n = m.grid.n_interior
+    c = np.eye(n) - mu * _inverse_mass_matrix(m.grid, m)
+    lu, piv = lu_factor(c)
+    diag = np.diag(lu)
+    sign = 1 if np.count_nonzero(piv != np.arange(n)) % 2 == 0 else -1
+    sign *= int(np.prod(np.sign(diag)))
+    return sign
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_det_sign_matches_dense_lu(name):
+    # the banded mixed factorization against the dense n x n LU, next to
+    # every certified eigenvalue and at seeded samples of both signs
+    g = make_grid(300)
+    m = sample(WEIGHTS[name], g)
+    res = widest_resolvable_window(m)
+    evs = [p.mu for p in res.positive] + [p.mu for p in res.negative]
+    mus = [ev * f for ev in evs for f in (1.0 - 1e-6, 1.0 + 1e-6)]
+    mus += list(parity_samples(res, np.random.default_rng(8), 20, 20))
+    for mu in mus:
+        sign = det_sign_psi(mu, m)
+        assert type(sign) is int
+        assert sign == _det_sign_dense(mu, m), mu
+    # on a computed eigenvalue, without the eigenvalue list, the condition
+    # estimate alone refuses to return a sign
+    for ev in evs:
+        with pytest.raises(OnEigenvalue):
+            det_sign_psi(ev, m)
