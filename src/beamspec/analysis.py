@@ -19,7 +19,7 @@ from .errors import HypothesisViolated, NotInWeightClass
 from .grid import SampledFn, e_norm
 from .linops import det_sign_psi, lambda2
 from .nodal import find_zeros
-from .spectrum import eigen_pencil
+from .spectrum import eigen_pencil, widest_resolvable_window
 
 
 def parity_samples(spectrum_result, rng, n_pos, n_neg):
@@ -48,7 +48,6 @@ def degree_parity_sweep(m, mu_samples, spectrum_result=None):
     report dict with one row per retained sample and an all-match flag.
     """
     if spectrum_result is None:
-        from .spectrum import widest_resolvable_window
         spectrum_result = widest_resolvable_window(m)
     pos = [p.mu for p in spectrum_result.positive]
     neg = [p.mu for p in spectrum_result.negative]

@@ -20,14 +20,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .continuation import (ContinuationConfig, bifurcation_start, save_branch,
-                           solve_nodal, trace_branch)
+from .continuation import (ContinuationConfig, _spectrum_for, bifurcation_start,
+                           save_branch, solve_nodal, trace_branch)
 from .errors import NumericalError, ValidationError
 from .grid import from_csv, make_grid, sample, to_csv
 from .nonlinear import PerturbedProblem, check_asymptotics
 from .presets import WEIGHTS, asymptotic_f, perturbation, table_f, weight
 from .render import render_diagram
-from .spectrum import MAX_PAIRS, eigen_pencil, widest_resolvable_window
+from .spectrum import eigen_pencil, widest_resolvable_window
 from .verify import LABELS, check_sturm_suite, verify_all
 
 
@@ -159,9 +159,7 @@ def _cmd_branch(args):
     m, _ = _weight_arg(args.weight, grid)
     nu, sigmas = _branch_labels(args)
     spec = PerturbedProblem(m=m, g=perturbation(args.g))
-    window = min(args.k + 4, MAX_PAIRS)
-    has_neg = bool(np.any(m.interior < 0.0))
-    res = eigen_pencil(m, window, window if (has_neg or nu < 0) else 0)
+    res = _spectrum_for(m, args.k, nu)
     config = ContinuationConfig(ds=args.ds, ds_max=args.ds_max,
                                 norm_budget=args.norm_budget,
                                 max_steps=args.max_steps)
@@ -192,9 +190,10 @@ def _cmd_solve(args):
     nu, sigmas = _branch_labels(args)
     config = ContinuationConfig(norm_budget=args.norm_budget,
                                 max_steps=args.max_steps)
+    res = _spectrum_for(m, args.k, nu)
     os.makedirs(args.out, exist_ok=True)
     for sigma in sigmas:
-        u = solve_nodal(args.gamma, f, m, args.k, nu, sigma, config)
+        u = solve_nodal(args.gamma, f, m, args.k, nu, sigma, config, res)
         name = f"solution_k{args.k}_{'p' if nu > 0 else 'n'}_{'p' if sigma > 0 else 'n'}.csv"
         to_csv(u, os.path.join(args.out, name))
         print(f"wrote {name} (max |u| = {np.max(np.abs(u.values)):.6g})")

@@ -105,7 +105,8 @@ def _validate_trivial_line(spec, mu):
             "source term does not vanish on the trivial line u = 0")
 
 
-def _spectrum_for(m, k, nu, spectrum_result):
+def _spectrum_for(m, k, nu, spectrum_result=None):
+    """The given spectrum, or the pencil of sign class nu alone, k + 4 deep."""
     if spectrum_result is None:
         window = min(k + 4, MAX_PAIRS)
         spectrum_result = eigen_pencil(m,
@@ -339,9 +340,7 @@ def solve_nodal_range(gamma, f, m, k_lo, k_hi, nu=+1, config=None):
     gamma must be admissible for every index in the range; the per-index
     check raises GammaNotAdmissible on the first violation.
     """
-    window = min(k_hi + 4, MAX_PAIRS)
-    spectrum_result = eigen_pencil(m, window if nu > 0 else 0,
-                                   window if nu < 0 else 0)
+    spectrum_result = _spectrum_for(m, k_hi, nu)
     out = []
     for j in range(k_lo, k_hi + 1):
         plus = solve_nodal(gamma, f, m, j, nu, +1, config, spectrum_result)

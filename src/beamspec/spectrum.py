@@ -18,8 +18,10 @@ in that order), and some nodal classes contain no eigenfunction at all
 (for m = 1 - 2t no leading positive eigenfunction has exactly one zero).
 Both facts are confirmed by the independent shooting oracle; the result
 flags record any permutation or gaps.  Nodal indices within one sign
-class must be distinct; a duplicate means the grid cannot resolve the
-zeros and raises NodalMismatch.
+class must be distinct; a duplicate, like a non-nodal profile, means the
+grid cannot resolve the zeros.  eigen_pencil then raises NodalMismatch;
+widest_resolvable_window cuts that side before the pair, from the same
+single decomposition, and lists the positive side's flags first.
 
 The discrete pencil K u = mu M u is reduced through the tridiagonal
 square-root factor A of K = A o A:
@@ -120,13 +122,12 @@ def _normalize(u_int, grid):
     return phi
 
 
-def eigen_pencil(m, count_pos, count_neg):
-    """Leading eigenpairs of both signs for the weight m, by magnitude.
+def _pencil(m, count_pos, count_neg):
+    """One eigh of G; each side classified in magnitude order up to its count.
 
-    Each eigenfunction is normalized (E-norm 1, positive near t = 0) and
-    classified; its nodal index k = zero count + 1 is recorded on the
-    pair.  Distinct pairs of one sign claiming the same nodal index raise
-    NodalMismatch (the grid cannot separate their zeros).
+    A side stops before its first pair the grid cannot certify (not nodal,
+    an anomaly, or a repeated k).  Returns the SpectrumResult of the
+    certified pairs and the first NodalMismatch, or None.
     """
     if not (0 <= count_pos <= MAX_PAIRS and 0 <= count_neg <= MAX_PAIRS):
         raise ValidationError(f"pair counts must lie in 0..{MAX_PAIRS}")
@@ -152,31 +153,29 @@ def eigen_pencil(m, count_pos, count_neg):
     neg_idx = np.argsort(vals)[: np.count_nonzero(vals < -tau)]
 
     def build(indices, count, sign):
-        pairs = []
-        seen = {}
+        pairs, seen = [], {}
         for rank in range(min(count, len(indices))):
             i = indices[rank]
             mu = 1.0 / vals[i]
             phi = _normalize(a.solve(vecs[:, i]), grid)
             profile = nodal_profile(phi)
             if not profile.is_nodal or profile.anomalies:
-                reason = ("carries a generalized double zero"
-                          if not profile.is_nodal
-                          else f"has {profile.anomalies[0]}")
-                raise NodalMismatch(
+                reason = (f"has {profile.anomalies[0]}" if profile.is_nodal
+                          else "carries a generalized double zero")
+                return tuple(pairs), NodalMismatch(
                     f"eigenfunction at mu={mu:.6g} {reason}; "
                     f"grid n={grid.n_interior} too coarse")
             k = profile.count + 1
             if k in seen:
-                raise NodalMismatch(
+                return tuple(pairs), NodalMismatch(
                     f"eigenfunctions at mu={seen[k]:.6g} and mu={mu:.6g} both "
                     f"show {k - 1} zeros; grid n={grid.n_interior} too coarse")
             seen[k] = mu
             pairs.append(EigenPair(k=k, nu=sign, mu=mu, phi=phi, rank=rank + 1))
-        return tuple(pairs)
+        return tuple(pairs), None
 
-    positive = build(pos_idx, count_pos, +1)
-    negative = build(neg_idx, count_neg, -1)
+    positive, pos_error = build(pos_idx, count_pos, +1)
+    negative, neg_error = build(neg_idx, count_neg, -1)
 
     for side_name, seq in (("positive", positive), ("negative", negative)):
         ks = [p.k for p in seq]
@@ -187,12 +186,27 @@ def eigen_pencil(m, count_pos, count_neg):
         for p, q in zip(seq, seq[1:]):
             if abs(p.mu - q.mu) <= SEPARATION_TOL * abs(p.mu):
                 flags.append(f"NearDegenerate:rank={p.rank},nu={p.nu:+d}")
-    if count_pos > 0 and len(positive) < count_pos:
+    # a side cut before an uncertifiable pair is a window, not a short sequence
+    if pos_error is None and len(positive) < count_pos:
         flags.append("PositiveSequenceTruncated")
-    if count_neg > 0 and len(negative) < count_neg:
+    if neg_error is None and len(negative) < count_neg:
         flags.append("NegativeSequenceTruncated")
-    return SpectrumResult(positive=positive, negative=negative, weight=m,
-                          flags=tuple(flags))
+    return (SpectrumResult(positive=positive, negative=negative, weight=m,
+                           flags=tuple(flags)), pos_error or neg_error)
+
+
+def eigen_pencil(m, count_pos, count_neg):
+    """Leading eigenpairs of both signs for the weight m, by magnitude.
+
+    Each eigenfunction is normalized (E-norm 1, positive near t = 0) and
+    classified; its nodal index k = zero count + 1 is recorded on the
+    pair.  Distinct pairs of one sign claiming the same nodal index raise
+    NodalMismatch (the grid cannot separate their zeros).
+    """
+    result, error = _pencil(m, count_pos, count_neg)
+    if error is not None:
+        raise error
+    return result
 
 
 def eigen_shoot(m, mu_bracket):
@@ -204,26 +218,12 @@ def widest_resolvable_window(m, cap=MAX_PAIRS):
     """Largest per-side windows whose zero structure the grid can certify.
 
     High-rank eigenfunctions of strongly localized classes push their
-    zero amplitudes below the float floor; this walks each side down from
-    cap until eigen_pencil accepts, and merges the two sides.
+    zero amplitudes below the float floor.  One decomposition asks each
+    populated side for cap pairs and cuts it before its first such pair.
     """
     mv = m.interior
-    want_pos = bool(np.any(mv > 0.0))
-    want_neg = bool(np.any(mv < 0.0))
-
-    def shrink(count_pos, count_neg):
-        for w in range(max(count_pos, count_neg), 0, -1):
-            try:
-                return eigen_pencil(m, min(w, count_pos) if count_pos else 0,
-                                    min(w, count_neg) if count_neg else 0)
-            except NodalMismatch:
-                continue
-        return eigen_pencil(m, 0, 0)
-
-    pos = shrink(cap if want_pos else 0, 0)
-    neg = shrink(0, cap if want_neg else 0)
-    return SpectrumResult(positive=pos.positive, negative=neg.negative,
-                          weight=m, flags=tuple(set(pos.flags + neg.flags)))
+    return _pencil(m, cap if np.any(mv > 0.0) else 0,
+                   cap if np.any(mv < 0.0) else 0)[0]
 
 
 def eigen_pencil_extrapolated(weight_fn, grid, count_pos, count_neg, fine=None):

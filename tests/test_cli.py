@@ -100,6 +100,16 @@ def test_branch_outputs_reproducible(tmp_path):
     assert [e["sha256"] for e in m1["files"]] == [e["sha256"] for e in m2["files"]]
 
 
+def test_branch_certifies_only_the_traced_sign_class(tmp_path):
+    # k = 7 lies in the positive class of sin3pi; the negative class cannot
+    # be certified 11 pairs deep at n = 300 and must not be asked for
+    out = str(tmp_path / "b")
+    assert run(["branch", "--n", "300", "--weight", "sin3pi", "--k", "7",
+                "--nu", "+", "--max-steps", "3", "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, "branch_k7_p_p.json"))
+    assert os.path.exists(os.path.join(out, "branch_k7_p_n.json"))
+
+
 def test_thread_fanout_is_deterministic(tmp_path, monkeypatch):
     # the sigma halves may run on worker threads; results must not depend
     # on the fan-out width

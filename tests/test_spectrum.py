@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from beamspec.errors import NoSignChange, NotInWeightClass
+from beamspec import spectrum
+from beamspec.errors import NodalMismatch, NoSignChange, NotInWeightClass
 from beamspec.grid import make_grid, sample
+from beamspec.presets import WEIGHTS, weight
 from beamspec.shooting import boundary_determinant
-from beamspec.spectrum import (EigenPair, SpectrumResult, eigen_pencil,
+from beamspec.spectrum import (MAX_PAIRS, EigenPair, SpectrumResult, eigen_pencil,
                                eigen_pencil_extrapolated, eigen_shoot,
-                               order_by_nodal)
+                               order_by_nodal, widest_resolvable_window)
 
 
 def test_constant_weight_analytic(spectrum_one800):
@@ -91,11 +94,53 @@ def test_nodal_indexing_on_multi_lobe_weights(grid800):
         res_r.pair(2, +1)
 
 
+def _window_by_retry(m, cap=MAX_PAIRS):
+    """The retry loop that widest_resolvable_window replaced, kept verbatim
+    as the reference it must reproduce (its flag order is hash-seeded)."""
+    mv = m.interior
+    want_pos = bool(np.any(mv > 0.0))
+    want_neg = bool(np.any(mv < 0.0))
+
+    def shrink(count_pos, count_neg):
+        for w in range(max(count_pos, count_neg), 0, -1):
+            try:
+                return eigen_pencil(m, min(w, count_pos) if count_pos else 0,
+                                    min(w, count_neg) if count_neg else 0)
+            except NodalMismatch:
+                continue
+        return eigen_pencil(m, 0, 0)
+
+    pos = shrink(cap if want_pos else 0, 0)
+    neg = shrink(0, cap if want_neg else 0)
+    return SpectrumResult(positive=pos.positive, negative=neg.negative,
+                          weight=m, flags=tuple(set(pos.flags + neg.flags)))
+
+
+def _rows(pairs):
+    return [(p.k, p.rank, p.mu, p.phi.values.tolist()) for p in pairs]
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_window_matches_retry_reference(name, monkeypatch):
+    m = sample(weight(name), make_grid(300))
+    ref = _window_by_retry(m)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh", counted)
+    res = widest_resolvable_window(m)
+    assert len(calls) == 1
+    assert _rows(res.positive) == _rows(ref.positive)
+    assert _rows(res.negative) == _rows(ref.negative)
+    assert set(res.flags) == set(ref.flags)
+
+
 def test_unresolvable_window_raises_and_fallback_shrinks():
     # deep ranks of localized classes push zero amplitudes below the float
     # floor: the pencil must refuse rather than certify a wrong count
-    from beamspec.errors import NodalMismatch
-    from beamspec.spectrum import widest_resolvable_window
     g = make_grid(300)
     m = sample(lambda t: np.sin(3 * np.pi * t), g)
     with pytest.raises(NodalMismatch):
@@ -103,6 +148,12 @@ def test_unresolvable_window_raises_and_fallback_shrinks():
     res = widest_resolvable_window(m)
     assert len(res.positive) >= 6
     assert 1 <= len(res.negative) < 12
+    # the negative side is cut right before its first uncertifiable pair
+    assert _rows(eigen_pencil(m, 0, len(res.negative)).negative) == _rows(res.negative)
+    with pytest.raises(NodalMismatch):
+        eigen_pencil(m, 0, len(res.negative) + 1)
+    assert res.flags == ("NodalOrderPermuted:positive", "NodalIndexGaps:positive",
+                         "NodalOrderPermuted:negative", "NodalIndexGaps:negative")
 
 
 def test_eigen_shoot_analytic():
