@@ -118,6 +118,8 @@ def _cmd_spectrum(args):
 def _cmd_degree(args):
     from .analysis import degree_parity_sweep, parity_samples
     grid = make_grid(args.n)
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be positive, got {args.samples}")
     m, weight_id = _weight_arg(args.weight, grid)
     res = widest_resolvable_window(m)
     rng = np.random.default_rng(args.seed)
@@ -159,10 +161,10 @@ def _cmd_branch(args):
     m, _ = _weight_arg(args.weight, grid)
     nu, sigmas = _branch_labels(args)
     spec = PerturbedProblem(m=m, g=perturbation(args.g))
-    res = _spectrum_for(m, args.k, nu)
     config = ContinuationConfig(ds=args.ds, ds_max=args.ds_max,
                                 norm_budget=args.norm_budget,
                                 max_steps=args.max_steps)
+    res = _spectrum_for(m, args.k, nu)
 
     def trace_one(sigma):
         start = bifurcation_start(args.k, nu, sigma, spec, config, res)
@@ -299,6 +301,8 @@ def run(argv=None):
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("fn",) and not callable(v)}
     try:
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         code = args.fn(args)
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

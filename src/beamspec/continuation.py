@@ -59,6 +59,8 @@ class ContinuationConfig:
     def __post_init__(self):
         if not (0.0 < self.ds_min <= self.ds <= self.ds_max):
             raise ValidationError("need 0 < ds_min <= ds <= ds_max")
+        if not self.norm_budget > 0.0:
+            raise ValidationError("need norm_budget > 0")
 
 
 @dataclass(frozen=True)

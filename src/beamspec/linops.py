@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbcon, dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .errors import GridMismatch, OnEigenvalue
 from .grid import Grid, SampledFn, from_interior, same_grid
@@ -149,10 +150,22 @@ class _MixedLU:
         return x[0::2], x[1::2]
 
     def rcond(self):
-        """LAPACK estimate of 1 / cond_1; 0 when a pivot is exactly zero."""
+        """1 / (||B||_1 est ||B^-1||_1) for the interleaved matrix B; 0 when
+        a pivot is exactly zero.
+
+        The estimate is the Hager-Higham 1-norm estimator (onenormest with
+        one column, which draws no random start, so the value is
+        deterministic).  Each of its products with B^-1 or B^-T is one
+        dgbtrs solve on the factors held here.
+        """
         if self.info > 0:
             return 0.0
-        return dgbcon(2, 2, self.lu, self.piv, self.anorm)[0]
+        n = self.lu.shape[1]
+        inverse = LinearOperator(
+            (n, n), dtype=float,
+            matvec=lambda b: dgbtrs(self.lu, 2, 2, b, self.piv)[0],
+            rmatvec=lambda b: dgbtrs(self.lu, 2, 2, b, self.piv, trans=1)[0])
+        return 1.0 / (self.anorm * onenormest(inverse, t=1))
 
     def det_sign(self):
         """Sign of the determinant: pivot parity times the signs of U's diagonal."""
@@ -168,7 +181,9 @@ def det_sign_psi(mu, m, eigenvalues=None):
     is that of the banded _MixedLU at F_u = mu m.  When the known pencil
     eigenvalues are supplied, mu must keep a relative distance of 1e-8 from
     each; independently, a reciprocal condition estimate below machine
-    epsilon raises OnEigenvalue rather than returning a garbage sign.
+    epsilon raises OnEigenvalue rather than returning a garbage sign.  The
+    estimate (_MixedLU.rcond) costs a few band solves on the factors the
+    sign is read from.
     """
     if eigenvalues is not None:
         for ev in eigenvalues:

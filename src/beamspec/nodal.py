@@ -9,6 +9,7 @@ right of t = 0 this decides membership in the sign classes used by the
 branch tracer.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,12 +76,29 @@ def _interp_linear(grid, values, t):
 
 
 def _quadratic_root(ts, vs, lo, hi):
-    """Root of the interpolating parabola through three points, inside [lo, hi]."""
-    c = np.polyfit(ts - ts[1], vs, 2)
-    roots = np.roots(c) + ts[1]
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and lo <= r.real <= hi]
-    if real:
-        return min(real, key=lambda r: abs(r - 0.5 * (lo + hi)))
+    """Root of the parabola through three equispaced points, inside [lo, hi].
+
+    In units of the spacing about the middle point the parabola is
+    a s^2 + b s + c; its roots are q / a and c / q with
+    q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, which avoids the cancellation
+    of the textbook formula.  A straight line (a = 0) has its one root.
+    Of the roots inside [lo, hi] the one nearest its midpoint is returned.
+    """
+    v0, v1, v2 = (float(v) for v in vs)
+    mid, h = float(ts[1]), 0.5 * float(ts[2] - ts[0])
+    a, b, c = 0.5 * (v0 - 2.0 * v1 + v2), 0.5 * (v2 - v0), v1
+    if a == 0.0:
+        roots = [-c / b] if b != 0.0 else []
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return None
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        # q = 0 only for b = disc = 0, the double root s = 0
+        roots = [q / a, c / q] if q != 0.0 else [0.0]
+    inside = [r for r in (mid + s * h for s in roots) if lo <= r <= hi]
+    if inside:
+        return min(inside, key=lambda r: abs(r - 0.5 * (lo + hi)))
     return None
 
 

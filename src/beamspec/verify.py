@@ -13,7 +13,7 @@ from .analysis import (degree_parity_sweep, parity_samples, spacing_check,
 from .continuation import (ContinuationConfig, bifurcation_start,
                            cross_hyperplane, solve_nodal, solve_nodal_range,
                            trace_branch)
-from .errors import GammaNotAdmissible, HypothesisViolated
+from .errors import GammaNotAdmissible, HypothesisViolated, ValidationError
 from .grid import derivative, e_norm, interior_dot, make_grid, sample
 from .nodal import nodal_profile
 from .nonlinear import AutonomousProblem, PerturbedProblem, fp_residual
@@ -146,6 +146,8 @@ def _random_positive_weight(rng, grid):
 def check_sturm_suite(n=1000, n_pool=24, n_pairs=200, k_max=6, seed=12345):
     """Criterion 5: 200 seeded randomized ordered pairs all pass the
     comparison check; both negative controls fail."""
+    if n_pairs < 1:
+        raise ValidationError(f"need at least one pair, got {n_pairs}")
     rng = np.random.default_rng(seed)
     grid = make_grid(n)
     pool = []

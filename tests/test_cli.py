@@ -168,9 +168,14 @@ def _malformed_files(tmp_path):
     (["solve", "--gamma", "70", "--f-params", "{{bad"], 2),
     (["solve", "--gamma", "70", "--f-params", "[17]"], 2),
     (["solve", "--gamma", "70", "--f-table", "{table}"], 2),
+    (["degree", "--samples", "-2"], 2),
+    (["degree", "--seed", "-1"], 2),
+    (["sturm", "--pairs", "0"], 2),
+    (["branch", "--norm-budget", "-5"], 2),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
-        "solve-bad-table"])
+        "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
+        "sturm-zero-pairs", "branch-negative-norm-budget"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
     argv = [a.format(**files) for a in argv]

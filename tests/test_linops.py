@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgbcon
 
 from beamspec.analysis import parity_samples
 from beamspec.errors import GridMismatch, OnEigenvalue
 from beamspec.grid import SampledFn, from_interior, make_grid, sample
-from beamspec.linops import (SecondDiffOperator, StiffnessOperator,
-                             det_sign_psi, lambda2, lambda_solve, t_mu)
+from beamspec.linops import (EPS, SecondDiffOperator, StiffnessOperator,
+                             _MixedLU, det_sign_psi, lambda2, lambda_solve,
+                             t_mu)
 from beamspec.presets import WEIGHTS
 from beamspec.spectrum import widest_resolvable_window
 
@@ -224,3 +226,28 @@ def test_det_sign_matches_dense_lu(name):
     for ev in evs:
         with pytest.raises(OnEigenvalue):
             det_sign_psi(ev, m)
+
+
+def _rcond_lapack(lu):
+    """Reference condition estimate: LAPACK dgbcon on the same band LU."""
+    if lu.info > 0:
+        return 0.0
+    return dgbcon(2, 2, lu.lu, lu.piv, lu.anorm)[0]
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_rcond_matches_lapack_estimate(name):
+    # the solve-driven estimate against dgbcon on every computed eigenvalue
+    # (where the guard must fire), next to each, and at seeded samples
+    g = make_grid(300)
+    m = sample(WEIGHTS[name], g)
+    res = widest_resolvable_window(m)
+    evs = [p.mu for p in res.positive] + [p.mu for p in res.negative]
+    mus = evs + [ev * f for ev in evs for f in (1.0 - 1e-6, 1.0 + 1e-6)]
+    mus += list(parity_samples(res, np.random.default_rng(8), 20, 20))
+    for mu in mus:
+        lu = _MixedLU(g, mu * m.interior)
+        got, ref = lu.rcond(), _rcond_lapack(lu)
+        assert (got < EPS) == (ref < EPS), mu
+        assert 0.5 * ref <= got <= 2.0 * ref, mu
+        assert lu.rcond() == got

@@ -3,9 +3,12 @@ import pytest
 
 from beamspec.errors import OutOfDomain, TrivialFunction
 from beamspec.grid import SampledFn, derivative, e_norm, make_grid, sample
+import beamspec.nodal as nodal
 from beamspec.nodal import (GENERALIZED_DOUBLE, GENERALIZED_SIMPLE, NOISE_TOL,
                             TOUCH_TOL, TRIVIAL_TOL, _quadratic_root,
                             classify_zero, find_zeros, nodal_profile)
+from beamspec.presets import WEIGHTS
+from beamspec.spectrum import widest_resolvable_window
 
 
 def test_find_zeros_sin2pi():
@@ -269,3 +272,53 @@ def test_find_zeros_ignores_sign_flips_below_noise():
     zeros = find_zeros(u)
     assert zeros == _find_zeros_loop(u)
     assert all(z <= 0.6 + g.h for z in zeros)
+
+
+def _quadratic_root_polyfit(ts, vs, lo, hi):
+    # reference: least-squares fit of the parabola and companion-matrix roots
+    c = np.polyfit(ts - ts[1], vs, 2)
+    roots = np.roots(c) + ts[1]
+    real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and lo <= r.real <= hi]
+    if real:
+        return min(real, key=lambda r: abs(r - 0.5 * (lo + hi)))
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_quadratic_root_matches_polyfit_on_eigenfunctions(name, monkeypatch):
+    # every parabola find_zeros refines on the window's eigenfunctions: the
+    # closed form finds a root exactly when the fit does, within 1e-12 h
+    g = make_grid(300)
+    res = widest_resolvable_window(sample(WEIGHTS[name], g))
+    calls = []
+
+    def spy(ts, vs, lo, hi):
+        calls.append((ts.copy(), vs.copy(), lo, hi))
+        return _quadratic_root(ts, vs, lo, hi)
+
+    monkeypatch.setattr(nodal, "_quadratic_root", spy)
+    for pair in res.positive + res.negative:
+        find_zeros(pair.phi)
+    assert calls
+    for args in calls:
+        got, ref = _quadratic_root(*args), _quadratic_root_polyfit(*args)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert abs(got - ref) <= 1e-12 * g.h
+
+
+def test_quadratic_root_of_a_straight_line():
+    # three collinear samples: the parabola degenerates to its chord
+    ts = np.array([0.1, 0.2, 0.3])
+    assert _quadratic_root(ts, np.array([-1.0, 0.0, 1.0]), 0.1, 0.3) == 0.2
+    assert _quadratic_root(ts, np.array([1.0, 1.0, 1.0]), 0.1, 0.3) is None
+
+
+def test_quadratic_root_next_to_a_far_root():
+    # p(s) = 1e-9 (s - 1/4)(s - 1e9) is nearly a line: the textbook formula
+    # would cancel -b against sqrt(b^2 - 4ac) and lose about eight digits
+    h = 1e-3
+    ts = 0.5 + h * np.array([-1.0, 0.0, 1.0])
+    vs = np.array([1e-9 * (s - 0.25) * (s - 1e9) for s in (-1.0, 0.0, 1.0)])
+    root = _quadratic_root(ts, vs, ts[1], ts[2])
+    assert abs(root - (0.5 + 0.25 * h)) <= 1e-12 * h
