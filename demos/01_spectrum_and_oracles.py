@@ -8,8 +8,8 @@ against the independent Runge-Kutta shooting oracle.
 
 import numpy as np
 
-from beamspec import (eigen_pencil, eigen_pencil_extrapolated, eigen_shoot,
-                      make_grid, sample)
+from beamspec import (eigen_pencil, eigen_pencil_extrapolated, make_grid,
+                      sample, shoot_eigenvalue)
 
 grid = make_grid(2000)
 
@@ -53,6 +53,6 @@ print("  two-grid extrapolated pencil vs shooting bisection:")
 for mu_x in pos_x[:3]:
     others = [m for m in pos_x if m != mu_x]
     width = min([0.05 * abs(mu_x)] + [0.45 * abs(mu_x - o) for o in others])
-    mu_shoot = eigen_shoot(fn, (mu_x - width, mu_x + width))
+    mu_shoot = shoot_eigenvalue(fn, (mu_x - width, mu_x + width))
     print(f"    pencil {mu_x:16.8f}   shoot {mu_shoot:16.8f}   "
           f"rel gap {abs(mu_x / mu_shoot - 1):.2e}")

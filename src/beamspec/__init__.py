@@ -19,15 +19,15 @@ from .continuation import (Branch, BranchPoint, ContinuationConfig,
 from .errors import *  # noqa: F401,F403 - the exception vocabulary
 from .grid import (ENorm, Grid, SampledFn, derivative, e_norm, from_csv,
                    from_interior, interior_dot, make_grid, sample, to_csv)
-from .linops import (MassOperator, SecondDiffOperator, StiffnessOperator,
-                     det_sign_psi, lambda2, lambda_solve, t_mu)
+from .linops import SecondDiffOperator, det_sign_psi, lambda2, lambda_solve
 from .nodal import (NodalProfile, ZeroRecord, classify_zero, find_zeros,
                     nodal_profile)
 from .nonlinear import (AsymptoticF, AutonomousProblem, PerturbationG,
                         PerturbedProblem, check_asymptotics, check_small_o,
                         fp_residual, newton, residual)
 from .render import render_diagram
-from .shooting import boundary_determinant, shoot_nodal_solution
+from .shooting import (boundary_determinant, shoot_eigenvalue,
+                       shoot_nodal_solution)
 from .spectrum import (EigenPair, SpectrumResult, eigen_pencil,
-                       eigen_pencil_extrapolated, eigen_shoot, order_by_nodal,
+                       eigen_pencil_extrapolated, order_by_nodal,
                        widest_resolvable_window)

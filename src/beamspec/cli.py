@@ -4,10 +4,6 @@ Subcommands: spectrum, degree, sturm, branch, solve, verify-all.  Every
 run writes its outputs plus a manifest.json (inputs, versions, sha256
 checksums) into the output directory.  Exit codes: 0 success, 1 usage,
 2 hypothesis/validation error, 3 numerical failure.
-
-The sigma halves of a branch command can fan out over threads;
-BEAMSPEC_THREADS caps the fan-out and defaults to 1.  File writes happen
-on the dispatching thread only.
 """
 
 import argparse
@@ -15,7 +11,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,13 +24,6 @@ from .presets import WEIGHTS, asymptotic_f, perturbation, table_f, weight
 from .render import render_diagram
 from .spectrum import eigen_pencil, widest_resolvable_window
 from .verify import LABELS, check_sturm_suite, verify_all
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("BEAMSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _weight_arg(name_or_path, grid):
@@ -95,6 +83,9 @@ def _write_manifest(outdir, command, config):
 
 
 def _cmd_spectrum(args):
+    if args.kneg < -1:
+        raise ValidationError(
+            f"--kneg must be -1 (same as --kmax) or non-negative, got {args.kneg}")
     grid = make_grid(args.n)
     m, weight_id = _weight_arg(args.weight, grid)
     has_neg = bool(np.any(m.interior < 0.0))
@@ -151,6 +142,8 @@ def _cmd_sturm(args):
 
 
 def _branch_labels(args):
+    if args.k < 1:
+        raise ValidationError(f"--k must be at least 1, got {args.k}")
     nu = +1 if args.nu == "+" else -1
     sigmas = [+1, -1] if args.sigma == "both" else [+1 if args.sigma == "+" else -1]
     return nu, sigmas
@@ -165,13 +158,10 @@ def _cmd_branch(args):
                                 norm_budget=args.norm_budget,
                                 max_steps=args.max_steps)
     res = _spectrum_for(m, args.k, nu)
-
-    def trace_one(sigma):
+    branches = []
+    for sigma in sigmas:
         start = bifurcation_start(args.k, nu, sigma, spec, config, res)
-        return trace_branch(start, spec, config)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        branches = list(pool.map(trace_one, sigmas))
+        branches.append(trace_branch(start, spec, config))
     os.makedirs(args.out, exist_ok=True)
     failed = False
     for sigma, br in zip(sigmas, branches):

@@ -61,6 +61,8 @@ class ContinuationConfig:
             raise ValidationError("need 0 < ds_min <= ds <= ds_max")
         if not self.norm_budget > 0.0:
             raise ValidationError("need norm_budget > 0")
+        if self.max_steps < 1:
+            raise ValidationError("need max_steps >= 1")
 
 
 @dataclass(frozen=True)

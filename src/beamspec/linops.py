@@ -6,42 +6,48 @@ K = A o A, which imposes u''(0) = u''(1) = 0 exactly: the intermediate
 field w = -u'' is itself a Dirichlet solution, so its endpoint values
 vanish by construction and no ghost points are needed.
 
-Solving -u'' = e is written Lam(e) (one tridiagonal elimination, O(n));
-Lam2 = Lam o Lam inverts the fourth-order operator.  All operators are
-immutable and every operation is pure.
+Solving -u'' = e is written Lam(e); Lam2 = Lam o Lam inverts the
+fourth-order operator.  A is symmetric positive definite and fixed per
+grid, so it has one LDL^T factor per grid (LAPACK dpttrf, no pivoting),
+computed once and cached; every solve is one O(n) dpttrs on it.  All
+operators are immutable and every operation is pure.
 
 Every linearization K - diag(F_u) is factored as the mixed matrix
 [[A, -I], [-diag(F_u), A]] in (u, w = A u) by one banded LU, _MixedLU,
 so no fourth difference is ever formed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, onenormest
 
-from .errors import GridMismatch, OnEigenvalue
-from .grid import Grid, SampledFn, from_interior, same_grid
+from .errors import OnEigenvalue
+from .grid import Grid, from_interior
 
 EPS = np.finfo(float).eps
 
 
+@lru_cache(maxsize=4)
+def _ldl(n, h):
+    """Read-only LDL^T factor (d, e) of (1/h^2) tridiag(-1, 2, -1), n x n."""
+    d, e, _ = dpttrf(np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2))
+    d.flags.writeable = False
+    e.flags.writeable = False
+    return d, e
+
+
 @dataclass(frozen=True, eq=False)
 class SecondDiffOperator:
-    """(1/h^2) tridiag(-1, 2, -1) on interior values: -u'' with Dirichlet ends."""
+    """(1/h^2) tridiag(-1, 2, -1) on interior values: -u'' with Dirichlet ends.
+
+    Solves run on one LDL^T factor per grid (dpttrf/dpttrs), computed
+    once and cached, so building an operator costs nothing.
+    """
 
     grid: Grid
-    _band: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n, h = self.grid.n_interior, self.grid.h
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -1.0 / h**2
-        ab[1, :] = 2.0 / h**2
-        ab[2, :-1] = -1.0 / h**2
-        object.__setattr__(self, "_band", ab)
 
     def apply(self, x):
         """Second difference of an interior vector, Dirichlet zeros outside."""
@@ -53,8 +59,10 @@ class SecondDiffOperator:
         return out
 
     def solve(self, rhs):
-        """Tridiagonal elimination for A x = rhs (rhs may be a matrix of columns)."""
-        return solve_banded((1, 1), self._band, rhs)
+        """A x = rhs by one dpttrs on the grid's dpttrf factor (rhs may be a
+        matrix of columns)."""
+        d, e = _ldl(self.grid.n_interior, self.grid.h)
+        return dpttrs(d, e, rhs)[0]
 
     def eigenvalue(self, k):
         """k-th exact eigenvalue (2/h^2)(1 - cos(k pi h))."""
@@ -62,48 +70,11 @@ class SecondDiffOperator:
         return 2.0 * (1.0 - np.cos(k * np.pi * h)) / h**2
 
 
-@dataclass(frozen=True, eq=False)
-class StiffnessOperator:
-    """Fourth-order operator K = A o A for u'''' with all four boundary conditions."""
-
-    grid: Grid
-    _a: SecondDiffOperator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_a", SecondDiffOperator(self.grid))
-
-    def apply(self, x):
-        # two-stage application: each stage cancels only O(h^2), which keeps
-        # the float noise far below a direct 5-point h^-4 stencil
-        return self._a.apply(self._a.apply(x))
-
-    def solve(self, rhs):
-        return self._a.solve(self._a.solve(rhs))
-
-    def eigenvalue(self, k):
-        return self._a.eigenvalue(k) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class MassOperator:
-    """Pointwise multiplication by the weight at interior nodes."""
-
-    grid: Grid
-    weight: SampledFn
-
-    def __post_init__(self):
-        if not same_grid(self.grid, self.weight.grid):
-            raise GridMismatch("weight sampled on a different grid")
-
-    def apply(self, x):
-        return self.weight.interior * x
-
-
 def lambda_solve(e):
     """Unique solution u of -u'' = e with u(0) = u(1) = 0.
 
     Endpoint values are exactly zero; the interior values come from one
-    tridiagonal elimination.
+    tridiagonal solve.
     """
     a = SecondDiffOperator(e.grid)
     return from_interior(e.grid, a.solve(e.interior))
@@ -112,13 +83,6 @@ def lambda_solve(e):
 def lambda2(e):
     """Lam applied twice: solves u'''' = e with all four boundary conditions."""
     return lambda_solve(lambda_solve(e))
-
-
-def t_mu(u, mu, m):
-    """mu * Lam2(m * u), the compact fixed-point operator of the eigenproblem."""
-    if not same_grid(u.grid, m.grid):
-        raise GridMismatch("u and m sampled on different grids")
-    return mu * lambda2(SampledFn(u.grid, m.values * u.values))
 
 
 class _MixedLU:

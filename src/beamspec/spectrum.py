@@ -28,8 +28,9 @@ square-root factor A of K = A o A:
 
     G = A^-1 M A^-1,   G y = nu y,   mu = 1/nu,   u = A^-1 y.
 
-G is symmetric, formed by two banded solve passes, and diagonalized with
-a dense symmetric eigensolver.  Reducing through A rather than through a
+G is symmetric, formed by two solve passes on the grid's one LDL^T
+factor of A (dpttrf/dpttrs), and diagonalized with a dense symmetric
+eigensolver.  Reducing through A rather than through a
 triangular Cholesky factor of K keeps the backward error at eps*cond(A)
 instead of eps*cond(K) = eps*cond(A)^2, which at n = 2000 is the
 difference between 1e-10 and 1e-4 of relative eigenvalue noise.
@@ -44,7 +45,6 @@ from .errors import NodalMismatch, NotInWeightClass, ValidationError
 from .grid import SampledFn, e_norm, from_interior, make_grid, sample
 from .linops import SecondDiffOperator
 from .nodal import nodal_profile
-from .shooting import shoot_eigenvalue as _shoot
 
 MAX_PAIRS = 12
 
@@ -207,11 +207,6 @@ def eigen_pencil(m, count_pos, count_neg):
     if error is not None:
         raise error
     return result
-
-
-def eigen_shoot(m, mu_bracket):
-    """Eigenvalue inside the bracket by the independent RK4 shooting oracle."""
-    return _shoot(m, mu_bracket)
 
 
 def widest_resolvable_window(m, cap=MAX_PAIRS):

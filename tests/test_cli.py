@@ -110,22 +110,6 @@ def test_branch_certifies_only_the_traced_sign_class(tmp_path):
     assert os.path.exists(os.path.join(out, "branch_k7_p_n.json"))
 
 
-def test_thread_fanout_is_deterministic(tmp_path, monkeypatch):
-    # the sigma halves may run on worker threads; results must not depend
-    # on the fan-out width
-    args = ["branch", "--weight", "one", "--g", "cubic", "--k", "1",
-            "--sigma", "both", "--n", "300", "--norm-budget", "10",
-            "--ds", "0.001", "--ds-max", "0.05"]
-    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "threaded")
-    monkeypatch.setenv("BEAMSPEC_THREADS", "1")
-    assert run(args + ["--out", out1]) == 0
-    monkeypatch.setenv("BEAMSPEC_THREADS", "2")
-    assert run(args + ["--out", out2]) == 0
-    m1 = _manifest_checks_out(out1)
-    m2 = _manifest_checks_out(out2)
-    assert [e["sha256"] for e in m1["files"]] == [e["sha256"] for e in m2["files"]]
-
-
 def test_usage_and_validation_exit_codes(tmp_path):
     assert run(["no-such-command"]) == 1
     assert run(["spectrum", "--weight", "up", "--n", "300",
@@ -172,13 +156,32 @@ def _malformed_files(tmp_path):
     (["degree", "--seed", "-1"], 2),
     (["sturm", "--pairs", "0"], 2),
     (["branch", "--norm-budget", "-5"], 2),
+    (["branch", "--max-steps", "0"], 2),
+    (["branch", "--max-steps", "-1"], 2),
+    (["branch", "--k", "0"], 2),
+    (["solve", "--gamma", "70", "--k", "0"], 2),
+    (["spectrum", "--kneg", "-2"], 2),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
-        "sturm-zero-pairs", "branch-negative-norm-budget"])
+        "sturm-zero-pairs", "branch-negative-norm-budget", "branch-max-steps-0",
+        "branch-max-steps-negative", "branch-k-0", "solve-k-0",
+        "spectrum-kneg-minus-2"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
     argv = [a.format(**files) for a in argv]
     assert run(argv + ["--n", "300", "--out", str(tmp_path / "out")]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv", [["branch"], ["solve", "--gamma", "70"]],
+                         ids=["branch", "solve"])
+def test_k_below_one_is_refused_before_the_pencil(tmp_path, capsys, monkeypatch,
+                                                  argv):
+    from beamspec import spectrum
+    calls = []
+    monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
+    assert run(argv + ["--k", "0", "--n", "300", "--out", str(tmp_path)]) == 2
+    assert "--k must be at least 1, got 0" in capsys.readouterr().err
+    assert calls == []

@@ -3,13 +3,14 @@ import pytest
 from scipy.linalg import lu_factor
 from scipy.linalg.lapack import dgbcon
 
+from beamspec import linops
 from beamspec.analysis import parity_samples
-from beamspec.errors import GridMismatch, OnEigenvalue
+from beamspec.errors import OnEigenvalue
 from beamspec.grid import SampledFn, from_interior, make_grid, sample
-from beamspec.linops import (EPS, SecondDiffOperator, StiffnessOperator,
-                             _MixedLU, det_sign_psi, lambda2, lambda_solve,
-                             t_mu)
-from beamspec.presets import WEIGHTS
+from beamspec.linops import (EPS, SecondDiffOperator, _MixedLU, det_sign_psi,
+                             lambda2, lambda_solve)
+from beamspec.nonlinear import PerturbedProblem, fp_residual, newton
+from beamspec.presets import WEIGHTS, manufactured_perturbation
 from beamspec.spectrum import widest_resolvable_window
 
 
@@ -109,14 +110,15 @@ def test_lambda_solve_positivity():
 
 
 def test_stiffness_symmetry():
+    # K = A o A, applied in two stages as nonlinear.residual does
     g = make_grid(90)
-    k = StiffnessOperator(g)
+    a = SecondDiffOperator(g)
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.standard_normal(g.n_interior)
         y = rng.standard_normal(g.n_interior)
-        lhs = np.dot(k.apply(x), y)
-        rhs = np.dot(x, k.apply(y))
+        lhs = np.dot(a.apply(a.apply(x)), y)
+        rhs = np.dot(x, a.apply(a.apply(y)))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
@@ -124,38 +126,45 @@ def test_stiffness_eigen_relation():
     # the sine modes are exact discrete eigenvectors; the residual is the
     # float noise of the two-stage fourth-difference evaluation
     g = make_grid(128)
-    k = StiffnessOperator(g)
+    a = SecondDiffOperator(g)
     for j in (1, 2, 3):
         x = np.sin(j * np.pi * g.interior_nodes)
-        lam = k.eigenvalue(j)
-        assert np.max(np.abs(k.apply(x) - lam * x)) <= 2e-8 * lam
+        lam = a.eigenvalue(j) ** 2
+        assert np.max(np.abs(a.apply(a.apply(x)) - lam * x)) <= 2e-8 * lam
 
 
-def test_t_mu_scaling_and_composition():
-    g = make_grid(120)
-    one = sample(lambda t: np.ones_like(t), g)
-    m = sample(lambda t: np.sin(3 * np.pi * t), g)
-    rng = np.random.default_rng(8)
-    u = from_interior(g, rng.standard_normal(g.n_interior))
-    assert np.all(t_mu(u, 0.0, one).values == 0.0)
-    got = t_mu(u, 2.0, m)
-    ref = 2.0 * lambda2(SampledFn(g, m.values * u.values))
-    assert np.array_equal(got.values, ref.values)
-
-
-def test_t_mu_fixed_point_at_first_eigenvalue():
+def test_lambda2_fixed_point_at_first_eigenvalue():
+    # sin(pi t) is the first eigenfunction of u'''' = mu u, so pi^4 Lam2
+    # reproduces it up to the O(h^2) discretization error
     g = make_grid(400)
-    one = sample(lambda t: np.ones_like(t), g)
     u = sample(lambda t: np.sin(np.pi * t), g)
-    got = t_mu(u, np.pi**4, one)
+    got = np.pi**4 * lambda2(u)
     assert np.max(np.abs(got.values - u.values)) <= 50.0 * g.h**2
 
 
-def test_t_mu_grid_mismatch():
-    u = sample(lambda t: t, make_grid(50))
-    m = sample(lambda t: t, make_grid(60))
-    with pytest.raises(GridMismatch):
-        t_mu(u, 1.0, m)
+def test_second_diff_factor_once_per_grid(monkeypatch):
+    # every residual and Newton iterate on a grid reuses one cached
+    # LDL^T factor of A
+    calls = []
+    dpttrf = linops.dpttrf
+
+    def counting_dpttrf(d, e):
+        calls.append(len(d))
+        return dpttrf(d, e)
+
+    monkeypatch.setattr(linops, "dpttrf", counting_dpttrf)
+    linops._ldl.cache_clear()
+    for n in (150, 170):
+        g = make_grid(n)
+        spec = PerturbedProblem(m=sample(WEIGHTS["one"], g),
+                                g=manufactured_perturbation(np.ones_like))
+        u0 = sample(lambda t: np.sin(np.pi * t), g)
+        for _ in range(3):
+            fp_residual(u0, 7.0, spec)
+            newton(u0, 7.0, spec)
+    assert calls == [150, 170]
+    d, e = linops._ldl(g.n_interior, g.h)
+    assert not d.flags.writeable and not e.flags.writeable
 
 
 def test_det_sign_identity():

@@ -6,10 +6,10 @@ from beamspec import spectrum
 from beamspec.errors import NodalMismatch, NoSignChange, NotInWeightClass
 from beamspec.grid import make_grid, sample
 from beamspec.presets import WEIGHTS, weight
-from beamspec.shooting import boundary_determinant
+from beamspec.shooting import boundary_determinant, shoot_eigenvalue
 from beamspec.spectrum import (MAX_PAIRS, EigenPair, SpectrumResult, eigen_pencil,
-                               eigen_pencil_extrapolated, eigen_shoot,
-                               order_by_nodal, widest_resolvable_window)
+                               eigen_pencil_extrapolated, order_by_nodal,
+                               widest_resolvable_window)
 
 
 def test_constant_weight_analytic(spectrum_one800):
@@ -158,16 +158,16 @@ def test_unresolvable_window_raises_and_fallback_shrinks():
 
 def test_eigen_shoot_analytic():
     one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    mu1 = eigen_shoot(one, (90.0, 110.0))
+    mu1 = shoot_eigenvalue(one, (90.0, 110.0))
     assert mu1 == pytest.approx(np.pi**4, rel=1e-6)
-    mu2 = eigen_shoot(one, (1500.0, 1600.0))
+    mu2 = shoot_eigenvalue(one, (1500.0, 1600.0))
     assert mu2 == pytest.approx((2 * np.pi) ** 4, rel=1e-6)
 
 
 def test_eigen_shoot_bad_bracket():
     one = lambda t: np.ones_like(np.asarray(t, dtype=float))
     with pytest.raises(NoSignChange):
-        eigen_shoot(one, (10.0, 50.0))
+        shoot_eigenvalue(one, (10.0, 50.0))
 
 
 def test_boundary_determinant_sign_matches_closed_form():
@@ -194,7 +194,7 @@ def test_pencil_shoot_cross_validation(grid800):
     for mu_x in pos_x + neg_x:
         others = [m for m in pos_x + neg_x if m != mu_x]
         width = min([0.05 * abs(mu_x)] + [0.45 * abs(mu_x - o) for o in others])
-        mu_shoot = eigen_shoot(fn, (mu_x - width, mu_x + width))
+        mu_shoot = shoot_eigenvalue(fn, (mu_x - width, mu_x + width))
         assert mu_x == pytest.approx(mu_shoot, rel=1e-6)
 
 
