@@ -31,7 +31,7 @@ def _weight_arg(name_or_path, grid):
     if name_or_path in WEIGHTS:
         fn = weight(name_or_path)
         return sample(fn, grid), name_or_path
-    if os.path.exists(name_or_path):
+    if os.path.isfile(name_or_path):
         try:
             m = from_csv(name_or_path)
         except (ValueError, IndexError) as exc:
@@ -293,6 +293,8 @@ def run(argv=None):
     try:
         if args.seed < 0:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ValidationError(f"--out '{args.out}' exists and is not a directory")
         code = args.fn(args)
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

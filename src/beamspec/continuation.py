@@ -12,7 +12,7 @@ cannot have; persistent failure at the minimum step aborts).
 
 Both the start polish and every branch step call nonlinear.newton with
 one scalar border.  Branch points keep the fixed-point residual below
-corrector_tol * (1 + e_norm), with e_norm that of the predictor or of the
+CORRECTOR_TOL * (1 + e_norm), with e_norm that of the predictor or of the
 previous point, whichever is larger; the amplitude factor reflects the
 float noise floor of the residual evaluation, which is proportional to
 the solution amplitude.
@@ -21,7 +21,7 @@ The nodal-solution driver reformulates u'''' = gamma m f(u) with an
 auxiliary factor mu on the right-hand side, starts the (k, nu, sigma)
 branch at mu = mu_k^nu / (gamma f0), traces until the branch crosses the
 hyperplane mu = 1, and polishes the crossing point, which solves the
-original problem, to corrector_tol with no amplitude factor.
+original problem, to CORRECTOR_TOL with no amplitude factor.
 """
 
 from dataclasses import dataclass, field
@@ -42,19 +42,26 @@ TERM_STEP_FAILURE = "StepFailure"
 TERM_HYPERPLANE = "HyperplaneGoal"
 TERM_MAX_STEPS = "MaxSteps"
 
+CORRECTOR_TOL = 1e-10      # residual bound, times (1 + e_norm) on branch points
+MAX_CORRECTOR_ITER = 12    # Newton iterations per corrector call
+GROW_FACTOR = 1.2          # ds growth after each accepted step, up to ds_max
+HYPERPLANE_TOL = 1e-6      # |mu - 1| under which a branch point is on the plane
+
 
 @dataclass(frozen=True)
 class ContinuationConfig:
+    """The six branch settings: the first step ds, halved toward ds_min on
+    a rejected step and grown by GROW_FACTOR toward ds_max on an accepted
+    one; the start amplitude eps_start; the stops max_steps and
+    norm_budget.  CORRECTOR_TOL, MAX_CORRECTOR_ITER and HYPERPLANE_TOL are
+    module constants."""
+
     ds: float = 0.05
     ds_min: float = 1e-5
     ds_max: float = 0.5
     eps_start: float = 1e-3
-    corrector_tol: float = 1e-10
     max_steps: int = 2000
     norm_budget: float = 1e3
-    max_corrector_iter: int = 12
-    grow_factor: float = 1.2
-    hyperplane_tol: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.ds_min <= self.ds <= self.ds_max):
@@ -88,16 +95,13 @@ class Branch:
     termination: str
     flags: tuple = field(default=())
 
-    def mus(self):
-        return [p.mu for p in self.points]
-
     def enorms(self):
         return [p.norm.value for p in self.points]
 
 
-def _point_tol(config, u0, scale):
+def _point_tol(u0, scale):
     """Branch-point tolerance for a correction started at u0."""
-    return config.corrector_tol * (1.0 + max(e_norm(u0).value, scale))
+    return CORRECTOR_TOL * (1.0 + max(e_norm(u0).value, scale))
 
 
 def _validate_trivial_line(spec, mu):
@@ -152,8 +156,8 @@ def bifurcation_start(k, nu, sigma, spec, config=None, spectrum_result=None):
 
         u0 = eps * sigma * phi
         try:
-            u, mu = newton(u0, origin_mu, spec, tol=_point_tol(config, u0, eps),
-                           max_iter=config.max_corrector_iter,
+            u, mu = newton(u0, origin_mu, spec, tol=_point_tol(u0, eps),
+                           max_iter=MAX_CORRECTOR_ITER,
                            border=(phi.grid.h * phi.interior, 0.0, constraint))
             profile = nodal_profile(u)
             norm = e_norm(u)
@@ -217,8 +221,8 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
 
             try:
                 u, mu = newton(pred_u, pred_mu, spec,
-                               tol=_point_tol(config, pred_u, cur.norm.value),
-                               max_iter=config.max_corrector_iter,
+                               tol=_point_tol(pred_u, cur.norm.value),
+                               max_iter=MAX_CORRECTOR_ITER,
                                border=(h * t_u, t_mu / mu_scale, arc_constraint))
                 profile = nodal_profile(u)
                 if (profile.count, profile.sigma) != (k - 1, sigma) or not profile.is_nodal:
@@ -262,7 +266,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
             termination = TERM_MAX_STEPS
             break
         if ds < config.ds_max:
-            ds = min(ds * config.grow_factor, config.ds_max)
+            ds = min(ds * GROW_FACTOR, config.ds_max)
 
     return Branch(k=k, nu=nu, sigma=sigma, origin_mu=start.origin_mu,
                   points=tuple(points), termination=termination,
@@ -272,20 +276,18 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
 def cross_hyperplane(branch, spec, config=None):
     """Solution of the branch's problem at mu = 1.
 
-    A branch point already lying on the hyperplane (within hyperplane_tol,
+    A branch point already lying on the hyperplane (within HYPERPLANE_TOL,
     with its residual at mu = 1 inside tolerance) is returned unchanged;
     otherwise consecutive points bracketing mu = 1 are interpolated and
     the interpolant is polished by Newton with mu frozen at 1.  The
-    on-plane check and the polish both use corrector_tol without the
+    on-plane check and the polish both use CORRECTOR_TOL without the
     amplitude factor of branch points, so the returned solution meets an
-    absolute residual bound at any amplitude.
+    absolute residual bound at any amplitude.  No setting of config applies.
     """
-    if config is None:
-        config = ContinuationConfig()
     for p in branch.points:
-        if abs(p.mu - 1.0) <= config.hyperplane_tol:
+        if abs(p.mu - 1.0) <= HYPERPLANE_TOL:
             merit, _ = fp_residual(p.u, 1.0, spec)
-            if merit <= config.corrector_tol:
+            if merit <= CORRECTOR_TOL:
                 return p.u
     for a, b in zip(branch.points, branch.points[1:]):
         if (a.mu - 1.0) * (b.mu - 1.0) <= 0.0:
@@ -293,7 +295,7 @@ def cross_hyperplane(branch, spec, config=None):
             guess = from_interior(
                 spec.grid,
                 (1.0 - theta) * a.u.interior + theta * b.u.interior)
-            u = newton(guess, 1.0, spec, tol=config.corrector_tol)
+            u = newton(guess, 1.0, spec, tol=CORRECTOR_TOL)
             profile = nodal_profile(u)
             if (profile.count, profile.sigma) != (branch.k - 1, branch.sigma):
                 raise NoCrossing(
@@ -321,8 +323,6 @@ def solve_nodal(gamma, f, m, k, nu, sigma, config=None, spectrum_result=None):
     the (k, nu, sigma) branch at mu = mu_k^nu / (gamma f0), traces toward
     the hyperplane mu = 1 and returns the crossing solution.
     """
-    if config is None:
-        config = ContinuationConfig()
     _, _, h1_ok = check_asymptotics(f)
     if not h1_ok:
         raise AsymptoticMismatch("sign condition f(s) s > 0 fails on samples")
@@ -335,7 +335,7 @@ def solve_nodal(gamma, f, m, k, nu, sigma, config=None, spectrum_result=None):
     spec = AutonomousProblem(m=m, gamma=gamma, f=f)
     start = bifurcation_start(k, nu, sigma, spec, config, spectrum_result)
     branch = trace_branch(start, spec, config, stop_at_mu=1.0)
-    return cross_hyperplane(branch, spec, config)
+    return cross_hyperplane(branch, spec)
 
 
 def solve_nodal_range(gamma, f, m, k_lo, k_hi, nu=+1, config=None):

@@ -42,6 +42,9 @@ from .errors import (AsymptoticMismatch, BoundaryViolation, NoConvergence,
 from .grid import SampledFn, e_norm, from_interior
 from .linops import EPS, SecondDiffOperator, _MixedLU, lambda2
 
+SMALL_O_T_POINTS = 101
+SMALL_O_MU_POINTS = 7
+
 
 @dataclass(frozen=True)
 class PerturbationG:
@@ -129,14 +132,13 @@ class AutonomousProblem:
         return self.gamma * self.m.interior * self.f.f(u_int)
 
 
-def check_boundary(u, enorm_value=None):
-    """Endpoint values must vanish to within 1e-10 of the function scale.
+def check_boundary(u):
+    """Endpoint values must vanish to within 1e-10 of the function's E-norm.
 
     The moment conditions u''(0) = u''(1) = 0 are imposed by the discrete
     operator itself, so only the stored endpoint values are checkable.
     """
-    scale = e_norm(u).value if enorm_value is None else enorm_value
-    tol = 1e-10 * scale
+    tol = 1e-10 * e_norm(u).value
     if abs(u.values[0]) > tol or abs(u.values[-1]) > tol:
         raise BoundaryViolation(
             f"endpoint values ({u.values[0]:.3e}, {u.values[-1]:.3e}) "
@@ -258,15 +260,15 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
         f"(tol {tol:.3e}) after {max_iter} iterations")
 
 
-def check_small_o(g, mu_box, t_points=101, mu_points=7):
+def check_small_o(g, mu_box):
     """Sampled check that g(t, s, mu) = o(|s|) near s = 0, uniformly.
 
-    Evaluates r(s) = max over the t and mu samples of |g|/|s| at
-    |s| = 1e-1 .. 1e-6; passes when r decreases monotonically and
-    r(1e-6) < 1e-3 r(1e-1) + 1e-12.
+    Evaluates r(s) = max over the t samples in [0, 1] and the mu samples
+    in mu_box of |g|/|s| at |s| = 1e-1 .. 1e-6; passes when r decreases
+    monotonically and r(1e-6) < 1e-3 r(1e-1) + 1e-12.
     """
-    t = np.linspace(0.0, 1.0, t_points)
-    mus = np.linspace(mu_box[0], mu_box[1], mu_points)
+    t = np.linspace(0.0, 1.0, SMALL_O_T_POINTS)
+    mus = np.linspace(mu_box[0], mu_box[1], SMALL_O_MU_POINTS)
     mags = [10.0**-j for j in range(1, 7)]
     table = []
     for s_abs in mags:

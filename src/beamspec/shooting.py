@@ -25,6 +25,8 @@ from .errors import NoConvergence, NoSignChange
 from .grid import SampledFn
 
 DEFAULT_STEPS = 10000  # step 1e-4 over [0, 1]
+NODAL_MAX_ITER = 30    # Newton iterations of the nonlinear shoot
+NODAL_TOL = 1e-10      # terminal residual, relative to the initial slopes
 
 
 def _weight_on_half_grid(m, n_steps):
@@ -150,8 +152,7 @@ def _integrate_nonlinear(a, b, gamma, m_half, f):
     return np.array(traj, dtype=float), y[0], y[2]
 
 
-def shoot_nodal_solution(gamma, m, f, slope0, jerk0, grid, max_iter=30,
-                         tol=1e-10):
+def shoot_nodal_solution(gamma, m, f, slope0, jerk0, grid):
     """Solve u'''' = gamma m(t) f(u) with the four boundary conditions.
 
     2-by-2 Newton on the terminal map (u'(0), u'''(0)) -> (u(1), u''(1)),
@@ -165,9 +166,9 @@ def shoot_nodal_solution(gamma, m, f, slope0, jerk0, grid, max_iter=30,
     m_half = _weight_on_half_grid(m, n_steps)
     a, b = float(slope0), float(jerk0)
     scale = max(1.0, abs(a), abs(b))
-    for _ in range(max_iter):
+    for _ in range(NODAL_MAX_ITER):
         traj, r1, r2 = _integrate_nonlinear(a, b, gamma, m_half, f)
-        if max(abs(r1), abs(r2)) <= tol * scale:
+        if max(abs(r1), abs(r2)) <= NODAL_TOL * scale:
             return SampledFn(grid, traj[::per_cell].copy())
         da = 1e-7 * (1.0 + abs(a))
         db = 1e-7 * (1.0 + abs(b))
@@ -180,4 +181,5 @@ def shoot_nodal_solution(gamma, m, f, slope0, jerk0, grid, max_iter=30,
             raise NoConvergence("singular shooting Jacobian")
         a -= (j22 * r1 - j12 * r2) / det
         b -= (-j21 * r1 + j11 * r2) / det
-    raise NoConvergence(f"shooting Newton did not meet {tol} in {max_iter} iterations")
+    raise NoConvergence(f"shooting Newton did not meet {NODAL_TOL} "
+                        f"in {NODAL_MAX_ITER} iterations")

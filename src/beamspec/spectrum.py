@@ -76,10 +76,6 @@ class SpectrumResult:
     def grid(self):
         return self.weight.grid
 
-    def eigenvalues(self):
-        """All computed eigenvalues, useful for magnitude counting."""
-        return [p.mu for p in self.positive] + [p.mu for p in self.negative]
-
     def pair(self, k, nu):
         """Look up the eigenpair of nodal index k in the sign class nu."""
         seq = self.positive if nu > 0 else self.negative
@@ -209,16 +205,16 @@ def eigen_pencil(m, count_pos, count_neg):
     return result
 
 
-def widest_resolvable_window(m, cap=MAX_PAIRS):
+def widest_resolvable_window(m):
     """Largest per-side windows whose zero structure the grid can certify.
 
     High-rank eigenfunctions of strongly localized classes push their
     zero amplitudes below the float floor.  One decomposition asks each
-    populated side for cap pairs and cuts it before its first such pair.
+    populated side for MAX_PAIRS pairs, cut before its first such pair.
     """
     mv = m.interior
-    return _pencil(m, cap if np.any(mv > 0.0) else 0,
-                   cap if np.any(mv < 0.0) else 0)[0]
+    return _pencil(m, MAX_PAIRS if np.any(mv > 0.0) else 0,
+                   MAX_PAIRS if np.any(mv < 0.0) else 0)[0]
 
 
 def eigen_pencil_extrapolated(weight_fn, grid, count_pos, count_neg, fine=None):

@@ -11,8 +11,7 @@ import numpy as np
 from .analysis import (degree_parity_sweep, parity_samples, spacing_check,
                        sturm_check)
 from .continuation import (ContinuationConfig, bifurcation_start,
-                           cross_hyperplane, solve_nodal, solve_nodal_range,
-                           trace_branch)
+                           solve_nodal, solve_nodal_range, trace_branch)
 from .errors import GammaNotAdmissible, HypothesisViolated, ValidationError
 from .grid import derivative, e_norm, interior_dot, make_grid, sample
 from .nodal import nodal_profile
@@ -25,35 +24,42 @@ from .spectrum import eigen_pencil, eigen_pencil_extrapolated
 # magnitude-ranked pairs computed per sign class and weight; high ranks of
 # strongly localized classes push zero amplitudes toward the float noise
 # floor, so the battery stays at 6 (which covers every nodal index <= 6
-# the weights populate)
+# the weights populate); criteria 1-3 check the nodal indices <= WINDOW
 WINDOW = 6
+# criterion 5: random positive weights in the pool, eigenpairs of each
+STURM_POOL = 24
+STURM_K_MAX = 6
+# E-norm budget and least step count of every battery branch
+BATTERY_NORM_BUDGET = 1e3
+BATTERY_MIN_POINTS = 110
 
 
-def compute_spectra(n=2000, window=WINDOW):
+def compute_spectra(n=2000):
     """Pencil windows for every built-in weight on a shared grid."""
     grid = make_grid(n)
     out = {}
     for name, fn in WEIGHTS.items():
         m = sample(fn, grid)
         has_neg = bool(np.any(m.interior < 0.0))
-        out[name] = eigen_pencil(m, window, window if has_neg else 0)
+        out[name] = eigen_pencil(m, WINDOW, WINDOW if has_neg else 0)
     return grid, out
 
 
 def check_analytic_spectrum(spectra, tol=1e-3):
-    """Criterion 1: constant weight reproduces (k pi)^4 for k = 1..6."""
+    """Criterion 1: constant weight reproduces (k pi)^4 for k = 1..WINDOW."""
     res = spectra["one"]
-    errs = [abs(p.mu / (p.k * np.pi) ** 4 - 1.0) for p in res.positive if p.k <= 6]
-    passed = bool(len(errs) == 6 and max(errs) <= tol and not res.negative)
+    errs = [abs(p.mu / (p.k * np.pi) ** 4 - 1.0)
+            for p in res.positive if p.k <= WINDOW]
+    passed = bool(len(errs) == WINDOW and max(errs) <= tol and not res.negative)
     return {"criterion": 1, "passed": passed,
             "rel_errors": errs, "negative_empty": not res.negative}
 
 
 def check_nodal_counts(spectra):
-    """Criterion 2: every computed eigenfunction of nodal index k <= 6 has
-    exactly k - 1 interior zeros, all generalized simple, in every sign
-    class of every built-in weight where that class is populated; the
-    constant weight populates k = 1..6 completely."""
+    """Criterion 2: every computed eigenfunction of nodal index k <= WINDOW
+    has exactly k - 1 interior zeros, all generalized simple, in every
+    sign class of every built-in weight where that class is populated;
+    the constant weight populates k = 1..WINDOW completely."""
     details = {}
     ok = True
     for name, res in spectra.items():
@@ -64,14 +70,14 @@ def check_nodal_counts(spectra):
                 good = (profile.count == p.k - 1 and profile.is_nodal
                         and not profile.anomalies)
                 ks.append(p.k)
-                if p.k <= 6 and not good:
+                if p.k <= WINDOW and not good:
                     ok = False
                 details[f"{name}{side}k{p.k}"] = {
                     "mu": p.mu, "zeros": profile.count,
                     "all_simple": profile.is_nodal, "ok": good}
             details[f"{name}{side}"] = sorted(ks)
     one_ks = [p.k for p in spectra["one"].positive]
-    if sorted(one_ks)[:6] != [1, 2, 3, 4, 5, 6]:
+    if sorted(one_ks)[:WINDOW] != list(range(1, WINDOW + 1)):
         ok = False
     return {"criterion": 2, "passed": ok, "details": details}
 
@@ -88,10 +94,10 @@ def _shoot_brackets(extrapolated):
     return out
 
 
-def check_oracle_agreement(grid, spectra, tol=1e-6, k_cap=6):
+def check_oracle_agreement(grid, spectra, tol=1e-6):
     """Criterion 3: Richardson-extrapolated pencil eigenvalues agree with
     the shooting oracle to 1e-6 relative for every pair of nodal index
-    <= k_cap from criterion 2."""
+    <= WINDOW from criterion 2."""
     rows = []
     for name, fn in WEIGHTS.items():
         fine = spectra[name]
@@ -100,7 +106,7 @@ def check_oracle_agreement(grid, spectra, tol=1e-6, k_cap=6):
         for pairs, extr in ((fine.positive, pos_x), (fine.negative, neg_x)):
             brackets = _shoot_brackets(extr)
             for p, mu_x, bracket in zip(pairs, extr, brackets):
-                if p.k > k_cap:
+                if p.k > WINDOW:
                     continue
                 mu_shoot = shoot_eigenvalue(fn, bracket)
                 rel = abs(mu_x / mu_shoot - 1.0)
@@ -143,7 +149,7 @@ def _random_positive_weight(rng, grid):
     return sample(fn, grid)
 
 
-def check_sturm_suite(n=1000, n_pool=24, n_pairs=200, k_max=6, seed=12345):
+def check_sturm_suite(n=1000, n_pairs=200, seed=12345):
     """Criterion 5: 200 seeded randomized ordered pairs all pass the
     comparison check; both negative controls fail."""
     if n_pairs < 1:
@@ -151,9 +157,9 @@ def check_sturm_suite(n=1000, n_pool=24, n_pairs=200, k_max=6, seed=12345):
     rng = np.random.default_rng(seed)
     grid = make_grid(n)
     pool = []
-    for _ in range(n_pool):
+    for _ in range(STURM_POOL):
         m = _random_positive_weight(rng, grid)
-        res = eigen_pencil(m, k_max, 0)
+        res = eigen_pencil(m, STURM_K_MAX, 0)
         pool.append((m, res))
 
     accepted = 0
@@ -162,9 +168,9 @@ def check_sturm_suite(n=1000, n_pool=24, n_pairs=200, k_max=6, seed=12345):
     last_pair = None
     while accepted < n_pairs and attempts < 50 * n_pairs:
         attempts += 1
-        i1, i2 = rng.integers(0, n_pool, 2)
-        k1 = int(rng.integers(1, k_max))          # 1..k_max-1
-        k2 = int(rng.integers(k1 + 1, k_max + 1))  # k1+1..k_max
+        i1, i2 = rng.integers(0, STURM_POOL, 2)
+        k1 = int(rng.integers(1, STURM_K_MAX))          # 1..STURM_K_MAX-1
+        k2 = int(rng.integers(k1 + 1, STURM_K_MAX + 1))  # k1+1..STURM_K_MAX
         m1, res1 = pool[i1]
         m2, res2 = pool[i2]
         mu1, mu2 = res1.positive[k1 - 1].mu, res2.positive[k2 - 1].mu
@@ -201,14 +207,14 @@ def check_sturm_suite(n=1000, n_pool=24, n_pairs=200, k_max=6, seed=12345):
             "control_b_failed": control_b_failed}
 
 
-def _branch_config(phi, norm_budget=1e3, min_points=110):
-    """Step sizes that make the branch reach its budget in >= min_points steps."""
+def _branch_config(phi):
+    """Step sizes for a branch of at least BATTERY_MIN_POINTS steps."""
     phi_h = np.sqrt(interior_dot(phi, phi))
-    length = norm_budget * phi_h
-    ds_max = length / float(min_points)
+    length = BATTERY_NORM_BUDGET * phi_h
+    ds_max = length / float(BATTERY_MIN_POINTS)
     return ContinuationConfig(ds=ds_max / 8.0, ds_max=ds_max,
                               ds_min=min(1e-5, ds_max / 8.0),
-                              norm_budget=norm_budget, max_steps=2000)
+                              norm_budget=BATTERY_NORM_BUDGET, max_steps=2000)
 
 
 BATTERY = (
@@ -235,7 +241,7 @@ def run_branch_battery(grid, spectra):
     return branches
 
 
-def check_branch_invariants(branches, eps_start=1e-3):
+def check_branch_invariants(branches):
     """Criteria 6 and 7 on a traced battery.
 
     6: zero generalized-double classifications across all points.
@@ -260,7 +266,7 @@ def check_branch_invariants(branches, eps_start=1e-3):
     for a, b in zip(branches[0::2], branches[1::2]):
         npts = min(len(a.points), len(b.points))
         gap = min(e_norm(a.points[i].u - b.points[i].u).value for i in range(npts))
-        if gap <= eps_start / 2.0:
+        if gap <= ContinuationConfig.eps_start / 2.0:
             distinct_ok = False
     passed6 = doubles == 0
     passed7 = (containment_ok and distinct_ok and len(branches) >= 8
@@ -279,10 +285,10 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
     For k = 1, 2 and gamma = 0.75 mu_k^+: both sigma solutions exist with
     k - 1 interior zeros, fixed-point residual below 1e-8, and max-norm
     agreement with an independent nonlinear shooting solve below 1e-4.
-    gamma = 0.25 mu_1^+ must be rejected.  The multi-index driver runs at
-    (k, n) = (1, 2) when its admissible interval is nonempty for the
-    chosen nonlinearity, otherwise records an explicit skip notice; the
-    nonempty variant is exercised with a wider-gain nonlinearity.
+    gamma = 0.25 mu_1^+ must be rejected.  The multi-index driver at
+    (k, n) = (1, 2) has an empty admissible interval for the saturating
+    nonlinearity, which the report records as a skip notice; the driver
+    runs instead with a wider-gain nonlinearity.
     """
     f = saturating_f()
     res = spectra["one"]
@@ -318,34 +324,25 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
     ok = ok and rejected
     details["inadmissible_rejected"] = rejected
 
-    # multi-index driver, (k, n) = (1, 2)
+    # multi-index driver, (k, n) = (1, 2): mu_2 ~ 16 mu_1 and finf = 2 empty
+    # its interval on every grid, so it runs with a gain that opens it
     mu1, mu2 = res.pair(1, +1).mu, res.pair(2, +1).mu
     gamma_12 = 0.75 * mu1
     lo, hi = mu2 / f.finf, mu1 / f.f0
-    if lo < gamma_12 < hi:
-        pairs = solve_nodal_range(gamma_12, f, m, 1, 2)
-        details["range_driver"] = {"pairs": len(pairs), "skipped": False}
-        ok = ok and len(pairs) == 2
-    else:
-        details["range_driver"] = {
-            "skipped": True,
-            "notice": (f"interval (mu_2/finf, mu_1/f0) = ({lo:.6g}, {hi:.6g}) "
-                       f"is empty for the saturating nonlinearity; "
-                       f"gamma = {gamma_12:.6g} cannot satisfy it")}
-        # exercise the driver anyway with a gain wide enough to open the interval
-        f_wide = saturating_f(gain=17.0)
-        gamma_w = 0.96 * mu1
-        lo_w, hi_w = mu2 / f_wide.finf, mu1 / f_wide.f0
-        assert lo_w < gamma_w < hi_w
-        config = ContinuationConfig(norm_budget=5e3, max_steps=2000)
-        pairs = solve_nodal_range(gamma_w, f_wide, m, 1, 2, config=config)
-        counts = []
-        for j, (up, um) in enumerate(pairs, start=1):
-            counts.append((nodal_profile(up).count, nodal_profile(um).count))
-        wide_ok = len(pairs) == 2 and counts == [(0, 0), (1, 1)]
-        details["range_driver_wide"] = {"pairs": len(pairs),
-                                        "zero_counts": counts, "ok": wide_ok}
-        ok = ok and wide_ok
+    details["range_driver"] = {
+        "skipped": True,
+        "notice": (f"interval (mu_2/finf, mu_1/f0) = ({lo:.6g}, {hi:.6g}) "
+                   f"is empty for the saturating nonlinearity; "
+                   f"gamma = {gamma_12:.6g} cannot satisfy it")}
+    config = ContinuationConfig(norm_budget=5e3, max_steps=2000)
+    pairs = solve_nodal_range(0.96 * mu1, saturating_f(gain=17.0), m, 1, 2,
+                              config=config)
+    counts = [(nodal_profile(up).count, nodal_profile(um).count)
+              for up, um in pairs]
+    wide_ok = len(pairs) == 2 and counts == [(0, 0), (1, 1)]
+    details["range_driver_wide"] = {"pairs": len(pairs),
+                                    "zero_counts": counts, "ok": wide_ok}
+    ok = ok and wide_ok
     return {"criterion": 8, "passed": ok, "details": details}
 
 

@@ -161,12 +161,14 @@ def _malformed_files(tmp_path):
     (["branch", "--k", "0"], 2),
     (["solve", "--gamma", "70", "--k", "0"], 2),
     (["spectrum", "--kneg", "-2"], 2),
+    # the working directory: a path that exists but is not a CSV file
+    (["spectrum", "--weight", "."], 2),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
         "sturm-zero-pairs", "branch-negative-norm-budget", "branch-max-steps-0",
         "branch-max-steps-negative", "branch-k-0", "solve-k-0",
-        "spectrum-kneg-minus-2"])
+        "spectrum-kneg-minus-2", "spectrum-weight-directory"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
     argv = [a.format(**files) for a in argv]
@@ -184,4 +186,18 @@ def test_k_below_one_is_refused_before_the_pencil(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
     assert run(argv + ["--k", "0", "--n", "300", "--out", str(tmp_path)]) == 2
     assert "--k must be at least 1, got 0" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_out_that_is_a_file_is_refused_before_the_pencil(tmp_path, capsys,
+                                                         monkeypatch):
+    from beamspec import spectrum
+    calls = []
+    monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run(["spectrum", "--n", "48", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: ValidationError: --out '{out}' exists" in err
+    assert "Traceback" not in err
     assert calls == []

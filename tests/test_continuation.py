@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from beamspec.continuation import (ContinuationConfig, admissible_interval,
-                                   bifurcation_start, cross_hyperplane,
-                                   solve_nodal, trace_branch)
+from beamspec.continuation import (GROW_FACTOR, ContinuationConfig,
+                                   admissible_interval, bifurcation_start,
+                                   cross_hyperplane, solve_nodal, trace_branch)
 from beamspec.errors import GammaNotAdmissible, NotInWeightClass
 from beamspec.grid import e_norm, interior_dot, make_grid, sample
 from beamspec.linops import SecondDiffOperator, _MixedLU
@@ -87,6 +87,28 @@ def test_trace_linear_branch_is_vertical(setup):
     # norm grows monotonically along the vertical branch
     norms = branch.enorms()
     assert all(b > a for a, b in zip(norms, norms[1:]))
+
+
+def test_step_grows_to_ds_max_without_rejection(setup):
+    # on the vertical linear branch every corrected step lies on the line,
+    # so each arclength increment equals the ds it was taken with; a
+    # rejected step would halve ds and break the geometric sequence
+    g, one, res = setup
+    spec = PerturbedProblem(m=one, g=zero_perturbation())
+    phi = res.positive[0].phi
+    ds_max = 0.5 * np.sqrt(interior_dot(phi, phi)) / 120.0
+    ds = ds_max / 8.0
+    cfg = ContinuationConfig(ds=ds, ds_max=ds_max, ds_min=ds / 4.0,
+                             norm_budget=0.5, max_steps=400)
+    branch = trace_branch(bifurcation_start(1, +1, +1, spec, cfg, res), spec, cfg)
+    assert branch.termination == "NormBudget" and branch.flags == ()
+    arc = np.array([p.arclength for p in branch.points])
+    steps = np.diff(arc)
+    expected = np.minimum(ds * GROW_FACTOR ** np.arange(len(steps)), ds_max)
+    assert np.allclose(steps, expected, rtol=1e-8, atol=0.0)
+    # both phases are covered: 12 growing steps, then many at ds_max
+    assert np.count_nonzero(expected < ds_max) == 12
+    assert np.count_nonzero(expected == ds_max) >= 50
 
 
 def test_trace_cubic_halves_mirror(setup):
