@@ -57,19 +57,14 @@ def degree_parity_sweep(m, mu_samples, spectrum_result=None):
 
     rows = []
     for mu in sorted(mu_samples):
-        if mu == 0.0:
-            rows.append({"mu": 0.0, "det_sign": 1, "count": 0,
-                         "expected_sign": 1, "match": True})
-            continue
         if mu > pos_limit or mu < neg_limit:
             continue
-        everything = pos + neg
-        if any(abs(mu - ev) <= 1e-6 * abs(mu) for ev in everything):
+        if any(abs(mu - ev) <= 1e-6 * abs(mu) for ev in pos + neg):
             continue
         count = (sum(1 for ev in pos if 0 < ev < mu) if mu > 0
                  else sum(1 for ev in neg if mu < ev < 0))
         expected = 1 if count % 2 == 0 else -1
-        sign = det_sign_psi(mu, m, eigenvalues=everything)
+        sign = det_sign_psi(mu, m)
         rows.append({"mu": mu, "det_sign": sign, "count": count,
                      "expected_sign": expected, "match": sign == expected})
     return {"rows": rows, "all_match": all(r["match"] for r in rows),

@@ -293,8 +293,13 @@ def run(argv=None):
     try:
         if args.seed < 0:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ValidationError(f"--out '{args.out}' exists and is not a directory")
+        # the nearest existing ancestor of --out must be a directory
+        anc = out = os.path.abspath(args.out)
+        while not os.path.exists(anc):
+            anc = os.path.dirname(anc)
+        if not os.path.isdir(anc):
+            where = "" if anc == out else f" is under '{anc}', which"
+            raise ValidationError(f"--out '{args.out}'{where} exists and is not a directory")
         code = args.fn(args)
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -5,8 +5,8 @@ From every eigenpair (mu_k^nu, phi) two half-branches of nontrivial
 solutions emanate, distinguished by the sign sigma of u near t = 0.  A
 branch is traced by a secant-tangent predictor and a bordered Newton
 corrector on the mixed (u, w, mu) system; after every accepted step the
-nodal profile is recomputed, and a step that would change the zero count
-or the leading sign is rejected with a halved step (a genuine change
+nodal profile is recomputed, and a step whose profile leaves the nodal
+class S_k^sigma is rejected with a halved step (a genuine change
 would require a generalized double zero, which nontrivial solutions
 cannot have; persistent failure at the minimum step aborts).
 
@@ -161,8 +161,7 @@ def bifurcation_start(k, nu, sigma, spec, config=None, spectrum_result=None):
                            border=(phi.grid.h * phi.interior, 0.0, constraint))
             profile = nodal_profile(u)
             norm = e_norm(u)
-            if (profile.count == k - 1 and profile.sigma == sigma
-                    and profile.is_nodal and norm.value <= 1.05 * eps):
+            if profile.in_class(k, sigma) and norm.value <= 1.05 * eps:
                 return BranchPoint(mu=mu, u=u, norm=norm, profile=profile,
                                    arclength=0.0, k=k, nu=nu, sigma=sigma,
                                    origin_mu=origin_mu)
@@ -225,7 +224,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                                max_iter=MAX_CORRECTOR_ITER,
                                border=(h * t_u, t_mu / mu_scale, arc_constraint))
                 profile = nodal_profile(u)
-                if (profile.count, profile.sigma) != (k - 1, sigma) or not profile.is_nodal:
+                if not profile.in_class(k, sigma):
                     raise StepFailure(
                         f"profile changed to ({profile.count}, {profile.sigma:+d}) "
                         f"at ds={ds:.3e}")
@@ -273,7 +272,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                   flags=tuple(flags))
 
 
-def cross_hyperplane(branch, spec, config=None):
+def cross_hyperplane(branch, spec):
     """Solution of the branch's problem at mu = 1.
 
     A branch point already lying on the hyperplane (within HYPERPLANE_TOL,
@@ -282,7 +281,8 @@ def cross_hyperplane(branch, spec, config=None):
     the interpolant is polished by Newton with mu frozen at 1.  The
     on-plane check and the polish both use CORRECTOR_TOL without the
     amplitude factor of branch points, so the returned solution meets an
-    absolute residual bound at any amplitude.  No setting of config applies.
+    absolute residual bound at any amplitude.  A polished crossing outside
+    the branch's nodal class S_k^sigma raises NoCrossing.
     """
     for p in branch.points:
         if abs(p.mu - 1.0) <= HYPERPLANE_TOL:
@@ -297,7 +297,7 @@ def cross_hyperplane(branch, spec, config=None):
                 (1.0 - theta) * a.u.interior + theta * b.u.interior)
             u = newton(guess, 1.0, spec, tol=CORRECTOR_TOL)
             profile = nodal_profile(u)
-            if (profile.count, profile.sigma) != (branch.k - 1, branch.sigma):
+            if not profile.in_class(branch.k, branch.sigma):
                 raise NoCrossing(
                     f"polished crossing left the nodal class: profile "
                     f"({profile.count}, {profile.sigma:+d})")

@@ -138,21 +138,16 @@ class _MixedLU:
         return -1 if flips % 2 else 1
 
 
-def det_sign_psi(mu, m, eigenvalues=None):
+def det_sign_psi(mu, m):
     """Sign of det(I - mu K^-1 M), the discrete degree surrogate for I - T_mu.
 
     det(I - mu K^-1 M) = det(K - mu M) / det K with det K > 0, so the sign
-    is that of the banded _MixedLU at F_u = mu m.  When the known pencil
-    eigenvalues are supplied, mu must keep a relative distance of 1e-8 from
-    each; independently, a reciprocal condition estimate below machine
-    epsilon raises OnEigenvalue rather than returning a garbage sign.  The
+    is that of the banded _MixedLU at F_u = mu m.  A reciprocal condition
+    estimate below machine epsilon raises OnEigenvalue rather than
+    returning a garbage sign; it is the one near-eigenvalue rule.  The
     estimate (_MixedLU.rcond) costs a few band solves on the factors the
     sign is read from.
     """
-    if eigenvalues is not None:
-        for ev in eigenvalues:
-            if abs(mu - ev) <= 1e-8 * abs(mu):
-                raise OnEigenvalue(f"mu={mu} is within 1e-8 of eigenvalue {ev}")
     lu = _MixedLU(m.grid, mu * m.interior)
     rcond = lu.rcond()
     if rcond < EPS:

@@ -4,9 +4,10 @@ An interior zero t* of a nontrivial solution is a generalized double zero
 when u, u', u'' and u''' all vanish there (for solutions of the beam
 equation this forces u = 0 identically, so a nontrivial solution never
 carries one); any other zero is generalized simple.  A function whose
-zeros are all simple is a nodal function; together with the sign just
-right of t = 0 this decides membership in the sign classes used by the
-branch tracer.
+zeros are all simple is a nodal function.  The nodal class S_k^sigma
+holds the functions with exactly k - 1 interior zeros, all simple, and
+sign sigma just right of t = 0; NodalProfile.in_class is the one test of
+membership, used by the pencil, the branch tracer and the battery alike.
 """
 
 import math
@@ -59,6 +60,12 @@ class NodalProfile:
     zeros: tuple
     is_nodal: bool
     anomalies: tuple = field(default=())
+
+    def in_class(self, k, sigma=None):
+        """Membership in S_k^sigma: k - 1 zeros, all simple, no anomaly,
+        and, when sigma is given, that sign just right of t = 0."""
+        return (self.count == k - 1 and self.is_nodal and not self.anomalies
+                and (sigma is None or self.sigma == sigma))
 
     def to_json(self):
         return {

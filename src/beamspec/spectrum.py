@@ -155,13 +155,13 @@ def _pencil(m, count_pos, count_neg):
             mu = 1.0 / vals[i]
             phi = _normalize(a.solve(vecs[:, i]), grid)
             profile = nodal_profile(phi)
-            if not profile.is_nodal or profile.anomalies:
+            k = profile.count + 1
+            if not profile.in_class(k):
                 reason = (f"has {profile.anomalies[0]}" if profile.is_nodal
                           else "carries a generalized double zero")
                 return tuple(pairs), NodalMismatch(
                     f"eigenfunction at mu={mu:.6g} {reason}; "
                     f"grid n={grid.n_interior} too coarse")
-            k = profile.count + 1
             if k in seen:
                 return tuple(pairs), NodalMismatch(
                     f"eigenfunctions at mu={seen[k]:.6g} and mu={mu:.6g} both "
@@ -247,16 +247,17 @@ def eigen_pencil_extrapolated(weight_fn, grid, count_pos, count_neg, fine=None):
 def order_by_nodal(result):
     """Recheck the zero-count law on every pair of a SpectrumResult.
 
-    The eigenfunction of the pair labelled k must have exactly k - 1
-    interior zeros, all generalized simple.  Returns a report dict
-    listing any violations instead of raising.
+    The eigenfunction of the pair labelled k must lie in the nodal class
+    S_k: exactly k - 1 interior zeros, all generalized simple, and no
+    anomaly.  Returns a report dict listing any violations instead of
+    raising.
     """
     rows = []
     violations = []
     for pairs in (result.positive, result.negative):
         for p in pairs:
             profile = nodal_profile(p.phi)
-            ok = profile.count == p.k - 1 and profile.is_nodal
+            ok = profile.in_class(p.k)
             rows.append({"k": p.k, "rank": p.rank, "nu": "+" if p.nu > 0 else "-",
                          "mu": p.mu, "zeros": profile.count,
                          "all_simple": profile.is_nodal, "ok": ok})

@@ -19,7 +19,7 @@ from .nonlinear import AutonomousProblem, PerturbedProblem, fp_residual
 from .presets import (WEIGHTS, cubic_perturbation, saturating_f,
                       zero_perturbation)
 from .shooting import shoot_eigenvalue, shoot_nodal_solution
-from .spectrum import eigen_pencil, eigen_pencil_extrapolated
+from .spectrum import eigen_pencil, eigen_pencil_extrapolated, order_by_nodal
 
 # magnitude-ranked pairs computed per sign class and weight; high ranks of
 # strongly localized classes push zero amplitudes toward the float noise
@@ -57,25 +57,18 @@ def check_analytic_spectrum(spectra, tol=1e-3):
 
 def check_nodal_counts(spectra):
     """Criterion 2: every computed eigenfunction of nodal index k <= WINDOW
-    has exactly k - 1 interior zeros, all generalized simple, in every
-    sign class of every built-in weight where that class is populated;
-    the constant weight populates k = 1..WINDOW completely."""
+    lies in S_k by order_by_nodal, in every sign class of every built-in
+    weight where that class is populated; the constant weight populates
+    k = 1..WINDOW completely."""
     details = {}
     ok = True
     for name, res in spectra.items():
+        for row in order_by_nodal(res)["rows"]:
+            ok = ok and (row["ok"] or row["k"] > WINDOW)
+            details[f"{name}{row['nu']}k{row['k']}"] = {
+                key: row[key] for key in ("mu", "zeros", "all_simple", "ok")}
         for side, pairs in (("+", res.positive), ("-", res.negative)):
-            ks = []
-            for p in pairs:
-                profile = nodal_profile(p.phi)
-                good = (profile.count == p.k - 1 and profile.is_nodal
-                        and not profile.anomalies)
-                ks.append(p.k)
-                if p.k <= WINDOW and not good:
-                    ok = False
-                details[f"{name}{side}k{p.k}"] = {
-                    "mu": p.mu, "zeros": profile.count,
-                    "all_simple": profile.is_nodal, "ok": good}
-            details[f"{name}{side}"] = sorted(ks)
+            details[f"{name}{side}"] = sorted(p.k for p in pairs)
     one_ks = [p.k for p in spectra["one"].positive]
     if sorted(one_ks)[:WINDOW] != list(range(1, WINDOW + 1)):
         ok = False
@@ -245,7 +238,7 @@ def check_branch_invariants(branches):
     """Criteria 6 and 7 on a traced battery.
 
     6: zero generalized-double classifications across all points.
-    7: every branch holds (count, sigma) = (k - 1, sigma) from the
+    7: every point of a branch lies in its nodal class S_k^sigma from the
     eps-amplitude point to the norm budget, and sigma halves of one
     bifurcation point share no nontrivial point.
     """
@@ -257,7 +250,7 @@ def check_branch_invariants(branches):
         for p in b.points:
             if not p.profile.is_nodal:
                 doubles += 1
-            if (p.profile.count, p.profile.sigma) != (b.k - 1, b.sigma):
+            if not p.profile.in_class(b.k, b.sigma):
                 containment_ok = False
         if b.termination not in ("NormBudget", "HyperplaneGoal"):
             containment_ok = False
@@ -282,8 +275,8 @@ def check_branch_invariants(branches):
 def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
     """Criterion 8: the saturating-nonlinearity desk cases.
 
-    For k = 1, 2 and gamma = 0.75 mu_k^+: both sigma solutions exist with
-    k - 1 interior zeros, fixed-point residual below 1e-8, and max-norm
+    For k = 1, 2 and gamma = 0.75 mu_k^+: both sigma solutions exist in
+    S_k^sigma, with fixed-point residual below 1e-8, and max-norm
     agreement with an independent nonlinear shooting solve below 1e-4.
     gamma = 0.25 mu_1^+ must be rejected.  The multi-index driver at
     (k, n) = (1, 2) has an empty admissible interval for the saturating
@@ -308,7 +301,7 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
             u_shoot = shoot_nodal_solution(gamma, WEIGHTS["one"], f.f,
                                            slope0, jerk0, grid)
             agree = float(np.max(np.abs(u.values - u_shoot.values)))
-            good = (profile.count == k - 1 and profile.sigma == sigma
+            good = (profile.in_class(k, sigma)
                     and rmax <= residual_tol and agree <= agree_tol)
             ok = ok and good
             details[f"k{k}sigma{sigma:+d}"] = {
@@ -337,9 +330,11 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
     config = ContinuationConfig(norm_budget=5e3, max_steps=2000)
     pairs = solve_nodal_range(0.96 * mu1, saturating_f(gain=17.0), m, 1, 2,
                               config=config)
-    counts = [(nodal_profile(up).count, nodal_profile(um).count)
-              for up, um in pairs]
-    wide_ok = len(pairs) == 2 and counts == [(0, 0), (1, 1)]
+    profiles = [(nodal_profile(up), nodal_profile(um)) for up, um in pairs]
+    counts = [(pp.count, pm.count) for pp, pm in profiles]
+    wide_ok = len(pairs) == 2 and all(
+        pp.in_class(j, +1) and pm.in_class(j, -1)
+        for j, (pp, pm) in enumerate(profiles, start=1))
     details["range_driver_wide"] = {"pairs": len(pairs),
                                     "zero_counts": counts, "ok": wide_ok}
     ok = ok and wide_ok

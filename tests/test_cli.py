@@ -201,3 +201,21 @@ def test_out_that_is_a_file_is_refused_before_the_pencil(tmp_path, capsys,
     assert f"error: ValidationError: --out '{out}' exists" in err
     assert "Traceback" not in err
     assert calls == []
+
+
+def test_out_under_a_file_is_refused_before_the_pencil(tmp_path, capsys,
+                                                       monkeypatch):
+    # the nearest existing ancestor of --out is a regular file, so the
+    # directory can never be made
+    from beamspec import spectrum
+    calls = []
+    monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" / "deeper"
+    assert run(["spectrum", "--n", "48", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: ValidationError: --out '{out}' is under '{afile}', "
+            "which exists and is not a directory") in err
+    assert "Traceback" not in err
+    assert calls == []

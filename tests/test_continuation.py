@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from beamspec import continuation
 from beamspec.continuation import (GROW_FACTOR, ContinuationConfig,
                                    admissible_interval, bifurcation_start,
                                    cross_hyperplane, solve_nodal, trace_branch)
-from beamspec.errors import GammaNotAdmissible, NotInWeightClass
+from beamspec.errors import GammaNotAdmissible, NoCrossing, NotInWeightClass
 from beamspec.grid import e_norm, interior_dot, make_grid, sample
 from beamspec.linops import SecondDiffOperator, _MixedLU
+from beamspec.nodal import nodal_profile
 from beamspec.nonlinear import (AutonomousProblem, PerturbedProblem,
                                 _bordered_solve, fp_residual)
 from beamspec.presets import (WEIGHTS, cubic_perturbation, linear_f,
@@ -167,9 +171,32 @@ def test_cross_hyperplane_vertical_linear_f(setup):
     assert abs(start.mu - 1.0) <= 1e-8
     branch = trace_branch(start, spec, cfg)
     assert all(abs(p.mu - 1.0) <= 1e-6 for p in branch.points)
-    u = cross_hyperplane(branch, spec, cfg)
+    u = cross_hyperplane(branch, spec)
     # an on-plane point is returned unchanged
     assert any(np.array_equal(u.values, p.u.values) for p in branch.points)
+
+
+def test_cross_hyperplane_refuses_a_non_nodal_crossing(setup, monkeypatch):
+    # the polished crossing keeps its (count, sigma) but is reported with a
+    # generalized double zero: it is outside S_1^+, so there is no crossing
+    g, one, res = setup
+    f = saturating_f()
+    gamma = 0.75 * res.positive[0].mu
+    spec = AutonomousProblem(m=one, gamma=gamma, f=f)
+    cfg = ContinuationConfig()
+    start = bifurcation_start(1, +1, +1, spec, cfg, res)
+    branch = trace_branch(start, spec, cfg, stop_at_mu=1.0)
+    assert all(abs(p.mu - 1.0) > continuation.HYPERPLANE_TOL
+               for p in branch.points)
+    profile = nodal_profile(cross_hyperplane(branch, spec))
+    assert (profile.count, profile.sigma) == (0, +1)
+
+    def double_zero(v):
+        return dataclasses.replace(nodal_profile(v), is_nodal=False)
+
+    monkeypatch.setattr(continuation, "nodal_profile", double_zero)
+    with pytest.raises(NoCrossing, match="left the nodal class"):
+        cross_hyperplane(branch, spec)
 
 
 def test_solve_nodal_matches_shooting_oracle(setup):

@@ -191,14 +191,6 @@ def test_det_sign_flips_across_eigenvalue(spectrum_one800, one800):
     assert below == 1 and above == -1
 
 
-def test_det_sign_eigenvalue_guard():
-    g = make_grid(200)
-    one = sample(lambda t: np.ones_like(t), g)
-    ev = 97.40909103
-    with pytest.raises(OnEigenvalue):
-        det_sign_psi(ev * (1.0 + 1e-9), one, eigenvalues=[ev])
-
-
 def _inverse_mass_matrix(grid, m):
     """Dense matrix of K^-1 M on interior nodes, via two banded solve passes."""
     a = SecondDiffOperator(grid)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,23 @@ def test_profile_counts_touch_double_with_crossing():
     assert kinds[0.7] == GENERALIZED_SIMPLE
     assert not profile.is_nodal
     assert not profile.anomalies
+
+
+def test_in_class():
+    # S_k^sigma: k - 1 zeros, all simple, no anomaly, sign sigma near t = 0
+    g = make_grid(1000)
+    sin2 = nodal_profile(sample(lambda t: np.sin(2 * np.pi * t), g))
+    assert sin2.in_class(2) and sin2.in_class(2, +1)
+    assert not sin2.in_class(2, -1)
+    assert not sin2.in_class(1) and not sin2.in_class(1, +1)
+    # two zeros, one of them double: the count fits k = 3, the class does not
+    quartic = nodal_profile(
+        sample(lambda t: (t * (1 - t)) ** 2 * (t - 0.3) ** 4 * (t - 0.7), g))
+    assert quartic.count == 2
+    assert not quartic.in_class(3) and not quartic.in_class(3, quartic.sigma)
+    # a profile that carries an anomaly is in no class
+    flagged = dataclasses.replace(sin2, anomalies=("simple touch-zero at t=0.25",))
+    assert not flagged.in_class(2) and not flagged.in_class(2, +1)
 
 
 def test_profile_json():
