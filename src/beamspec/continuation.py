@@ -190,25 +190,21 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     flags = []
     termination = TERM_MAX_STEPS
 
-    # previous point for the secant; the branch emanates from (origin_mu, 0).
-    # mu enters the arclength metric scaled by its origin magnitude so that
-    # parameter motion and solution motion contribute comparably.
-    prev_u = np.zeros(spec.grid.n_interior)
-    prev_mu = start.origin_mu
+    # secant (du, dmu) of the last step and its length in the arclength
+    # metric; the branch emanates from (origin_mu, 0).  mu enters the metric
+    # scaled by its origin magnitude so that parameter motion and solution
+    # motion contribute comparably.
     mu_scale = max(1.0, abs(start.origin_mu))
+    du = start.u.interior
+    dmu = (start.mu - start.origin_mu) / mu_scale
+    step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
     ds = config.ds
-
-    def tangent(cur_u, cur_mu, ref_u, ref_mu):
-        du = cur_u - ref_u
-        dmu = (cur_mu - ref_mu) / mu_scale
-        norm = np.sqrt(h * np.dot(du, du) + dmu * dmu)
-        if norm == 0.0:
-            raise StepFailure("degenerate tangent: consecutive points coincide")
-        return du / norm, dmu / norm
 
     while len(points) - 1 < config.max_steps:
         cur = points[-1]
-        t_u, t_mu = tangent(cur.u.interior, cur.mu, prev_u, prev_mu)
+        if step_len == 0.0:
+            raise StepFailure("degenerate tangent: consecutive points coincide")
+        t_u, t_mu = du / step_len, dmu / step_len
         accepted = None
         while accepted is None:
             pred_u = from_interior(spec.grid, cur.u.interior + ds * t_u)
@@ -240,13 +236,12 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
 
         u, mu, profile = accepted
         du = u.interior - cur.u.interior
-        step_len = float(np.sqrt(h * np.dot(du, du)
-                                 + ((mu - cur.mu) / mu_scale) ** 2))
+        dmu = (mu - cur.mu) / mu_scale
+        step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
         norm = e_norm(u)
         point = BranchPoint(mu=mu, u=u, norm=norm, profile=profile,
                             arclength=cur.arclength + step_len,
                             k=k, nu=nu, sigma=sigma, origin_mu=start.origin_mu)
-        prev_u, prev_mu = cur.u.interior, cur.mu
         points.append(point)
 
         if norm.value < 0.1 * config.eps_start and len(points) > 2:
@@ -260,9 +255,6 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
             break
         if norm.value >= config.norm_budget:
             termination = TERM_NORM_BUDGET
-            break
-        if len(points) - 1 >= config.max_steps:
-            termination = TERM_MAX_STEPS
             break
         if ds < config.ds_max:
             ds = min(ds * GROW_FACTOR, config.ds_max)
