@@ -10,12 +10,14 @@ class S_k^sigma is rejected with a halved step (a genuine change
 would require a generalized double zero, which nontrivial solutions
 cannot have; persistent failure at the minimum step aborts).
 
-Both the start polish and every branch step call nonlinear.newton with
-one scalar border.  Branch points keep the fixed-point residual below
-CORRECTOR_TOL * (1 + e_norm), with e_norm that of the predictor or of the
-previous point, whichever is larger; the amplitude factor reflects the
-float noise floor of the residual evaluation, which is proportional to
-the solution amplitude.
+Both the start polish and every branch step call nonlinear.newton on
+the hyperplane through the predictor: normal (h phi, 0) at the start,
+which pins the amplitude, and the unit tangent on a step, which is the
+pseudo-arclength equation.  Branch points keep the fixed-point residual
+below CORRECTOR_TOL * (1 + e_norm), with e_norm that of the predictor or
+of the previous point, whichever is larger; the amplitude factor reflects
+the float noise floor of the residual evaluation, which is proportional
+to the solution amplitude.
 
 The nodal-solution driver reformulates u'''' = gamma m f(u) with an
 auxiliary factor mu on the right-hand side, starts the (k, nu, sigma)
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import (AsymptoticMismatch, GammaNotAdmissible, NoConvergence,
                      NoCrossing, SingularJacobian, StartFailure,
                      StepFailure, ValidationError)
-from .grid import SampledFn, e_norm, from_interior, interior_dot
+from .grid import SampledFn, e_norm, from_interior
 from .nodal import nodal_profile
 from .nonlinear import (AutonomousProblem, check_asymptotics, fp_residual,
                         newton)
@@ -127,10 +129,10 @@ def bifurcation_start(k, nu, sigma, spec, config=None, spectrum_result=None):
     """First nontrivial point of the (k, nu, sigma) half-branch.
 
     Predictor (origin_mu, eps * sigma * phi_k^nu), polished by one
-    amplitude-pinned bordered correction: mu is freed and the phi-component
-    of u is held at eps * sigma, which keeps the corrector away from the
-    trivial solution where the plain Jacobian is singular.  The amplitude
-    is halved up to 8 times before giving up.
+    amplitude-pinned bordered correction: mu is freed on the hyperplane
+    through the predictor with normal (h phi, 0), which keeps the
+    corrector away from the trivial solution where the plain Jacobian is
+    singular.  The amplitude is halved up to 8 times before giving up.
     """
     if config is None:
         config = ContinuationConfig()
@@ -145,28 +147,23 @@ def bifurcation_start(k, nu, sigma, spec, config=None, spectrum_result=None):
     _validate_trivial_line(spec, origin_mu)
 
     phi = pair.phi
-    phi_norm2 = interior_dot(phi, phi)
     eps = config.eps_start
     last_exc = None
     for _ in range(9):
-        target = eps * sigma * phi_norm2
-
-        def constraint(ufn, mu):
-            return interior_dot(ufn, phi) - target
-
         u0 = eps * sigma * phi
         try:
             u, mu = newton(u0, origin_mu, spec, tol=_point_tol(u0, eps),
                            max_iter=MAX_CORRECTOR_ITER,
-                           border=(phi.grid.h * phi.interior, 0.0, constraint))
+                           border=(phi.grid.h * phi.interior, 0.0))
             profile = nodal_profile(u)
             norm = e_norm(u)
-            if profile.in_class(k, sigma) and norm.value <= 1.05 * eps:
+            defect = profile.class_defect(k, sigma)
+            if defect is None and norm.value <= 1.05 * eps:
                 return BranchPoint(mu=mu, u=u, norm=norm, profile=profile,
                                    arclength=0.0, k=k, nu=nu, sigma=sigma,
                                    origin_mu=origin_mu)
             last_exc = StartFailure(
-                f"polished point has profile ({profile.count}, {profile.sigma:+d}), "
+                f"polished point {defect or 'exceeds 1.05 eps'}, "
                 f"e_norm {norm.value:.3e} at eps={eps:.2e}")
         except (NoConvergence, SingularJacobian) as exc:
             last_exc = exc
@@ -177,8 +174,9 @@ def bifurcation_start(k, nu, sigma, spec, config=None, spectrum_result=None):
 def trace_branch(start, spec, config=None, stop_at_mu=None):
     """Pseudo-arclength continuation from a polished start point.
 
-    Secant tangent predictor, bordered Newton corrector; after each
-    accepted step the nodal profile is recomputed and a profile change
+    Secant tangent predictor, bordered Newton corrector on the hyperplane
+    through the predictor normal to the tangent; after each accepted step
+    the nodal profile is recomputed and a profile outside S_k^sigma
     rejects the step and halves ds.  Terminates at the norm budget, the
     step budget, persistent step failure, or when mu crosses stop_at_mu.
     """
@@ -190,10 +188,9 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     flags = []
     termination = TERM_MAX_STEPS
 
-    # secant (du, dmu) of the last step and its length in the arclength
-    # metric; the branch emanates from (origin_mu, 0).  mu enters the metric
-    # scaled by its origin magnitude so that parameter motion and solution
-    # motion contribute comparably.
+    # secant (du, dmu) of the last step, from (origin_mu, 0) at first, and
+    # its length in the arclength metric, where mu is scaled by its origin
+    # magnitude so that parameter and solution motion weigh comparably
     mu_scale = max(1.0, abs(start.origin_mu))
     du = start.u.interior
     dmu = (start.mu - start.origin_mu) / mu_scale
@@ -209,21 +206,15 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
         while accepted is None:
             pred_u = from_interior(spec.grid, cur.u.interior + ds * t_u)
             pred_mu = cur.mu + ds * t_mu * mu_scale
-
-            def arc_constraint(ufn, mu, _cu=cur.u.interior, _cmu=cur.mu, _ds=ds):
-                return (h * np.dot(t_u, ufn.interior - _cu)
-                        + t_mu * (mu - _cmu) / mu_scale - _ds)
-
             try:
                 u, mu = newton(pred_u, pred_mu, spec,
                                tol=_point_tol(pred_u, cur.norm.value),
                                max_iter=MAX_CORRECTOR_ITER,
-                               border=(h * t_u, t_mu / mu_scale, arc_constraint))
+                               border=(h * t_u, t_mu / mu_scale))
                 profile = nodal_profile(u)
-                if not profile.in_class(k, sigma):
-                    raise StepFailure(
-                        f"profile changed to ({profile.count}, {profile.sigma:+d}) "
-                        f"at ds={ds:.3e}")
+                defect = profile.class_defect(k, sigma)
+                if defect is not None:
+                    raise StepFailure(f"profile {defect} at ds={ds:.3e}")
                 accepted = (u, mu, profile)
             except (NoConvergence, SingularJacobian, StepFailure) as exc:
                 if ds <= config.ds_min:
@@ -288,11 +279,10 @@ def cross_hyperplane(branch, spec):
                 spec.grid,
                 (1.0 - theta) * a.u.interior + theta * b.u.interior)
             u = newton(guess, 1.0, spec, tol=CORRECTOR_TOL)
-            profile = nodal_profile(u)
-            if not profile.in_class(branch.k, branch.sigma):
+            defect = nodal_profile(u).class_defect(branch.k, branch.sigma)
+            if defect is not None:
                 raise NoCrossing(
-                    f"polished crossing left the nodal class: profile "
-                    f"({profile.count}, {profile.sigma:+d})")
+                    f"polished crossing left the nodal class: profile {defect}")
             return u
     last = branch.points[-1]
     raise NoCrossing(

@@ -6,8 +6,9 @@ equation this forces u = 0 identically, so a nontrivial solution never
 carries one); any other zero is generalized simple.  A function whose
 zeros are all simple is a nodal function.  The nodal class S_k^sigma
 holds the functions with exactly k - 1 interior zeros, all simple, and
-sign sigma just right of t = 0; NodalProfile.in_class is the one test of
-membership, used by the pencil, the branch tracer and the battery alike.
+sign sigma just right of t = 0; NodalProfile.class_defect is the one test
+of membership and names the condition a non-member fails, for the pencil,
+the branch tracer and the battery alike (in_class is its yes/no form).
 """
 
 import math
@@ -61,11 +62,22 @@ class NodalProfile:
     is_nodal: bool
     anomalies: tuple = field(default=())
 
+    def class_defect(self, k, sigma=None):
+        """The first condition of S_k^sigma the profile fails, worded to
+        follow "profile" in a message, or None for a member."""
+        if not self.is_nodal:
+            return "carries a generalized double zero"
+        if self.anomalies:
+            return f"has {self.anomalies[0]}"
+        if self.count != k - 1:
+            return f"has {self.count} interior zeros instead of {k - 1}"
+        if sigma is not None and self.sigma != sigma:
+            return f"has sign {self.sigma:+d} right of t = 0 instead of {sigma:+d}"
+
     def in_class(self, k, sigma=None):
         """Membership in S_k^sigma: k - 1 zeros, all simple, no anomaly,
         and, when sigma is given, that sign just right of t = 0."""
-        return (self.count == k - 1 and self.is_nodal and not self.anomalies
-                and (sigma is None or self.sigma == sigma))
+        return self.class_defect(k, sigma) is None
 
     def to_json(self):
         return {
@@ -107,6 +119,13 @@ def _quadratic_root(ts, vs, lo, hi):
     if inside:
         return min(inside, key=lambda r: abs(r - 0.5 * (lo + hi)))
     return None
+
+
+def _local_window(grid, t):
+    """Node slice about t of half-width max(4 h, 0.01), clipped to the grid."""
+    half = max(4 * grid.h, 0.01)
+    return slice(max(0, int(np.floor((t - half) / grid.h))),
+                 min(len(grid), int(np.ceil((t + half) / grid.h)) + 1))
 
 
 def _derivative_fields(u):
@@ -214,11 +233,9 @@ def classify_zero(u, t_star, _fields=None):
     d1, d2, d3 = (_interp_linear(u.grid, f.values, t_star) for f in _fields)
     globally_small = max(abs(d1), abs(d2), abs(d3)) < DOUBLE_TOL * _scale(u, _fields)
 
-    half = max(4 * u.grid.h, 0.01)
-    lo = max(0, int(np.floor((t_star - half) / u.grid.h)))
-    hi = min(len(u.values), int(np.ceil((t_star + half) / u.grid.h)) + 1)
+    window = _local_window(u.grid, t_star)
     locally_small = all(
-        abs(d) < LOCAL_VETO * max(np.max(np.abs(f.values[lo:hi])), 1e-300)
+        abs(d) < LOCAL_VETO * max(np.max(np.abs(f.values[window])), 1e-300)
         for d, f in zip((d1, d2, d3), _fields))
 
     kind = (GENERALIZED_DOUBLE if globally_small and locally_small
@@ -248,9 +265,7 @@ def nodal_profile(u):
                     and abs(v[j]) < TOUCH_TOL * vmax
                     and v[j - 1] * v[j + 1] > 0.0)
         if is_touch:
-            lo = max(0, int(np.floor((z - max(4 * h, 0.01)) / h)))
-            hi = min(len(v), int(np.ceil((z + max(4 * h, 0.01)) / h)) + 1)
-            if np.max(np.abs(v[lo:hi])) < RESOLVED_TOL * vmax:
+            if np.max(np.abs(v[_local_window(u.grid, z)])) < RESOLVED_TOL * vmax:
                 anomalies.append(f"unresolved near-zero region at t={z:.6g}")
                 continue
         rec = classify_zero(u, z, _fields=fields)

@@ -29,8 +29,8 @@ system in (u, w), w = -u'':
 whose Jacobian [[A, -I], [-diag(F_u), A]] gets one banded LU per iteration
 (linops._MixedLU, O(n)); in exact arithmetic its u-iterates coincide with
 Newton on K u = F, but no fourth difference is ever formed.  The same
-corrector frees mu under one scalar constraint (the border used by
-continuation) and solves the bordered system by block elimination.
+corrector frees mu on a hyperplane through its start (continuation's
+border) and solves the bordered system by block elimination.
 """
 
 from dataclasses import dataclass, field
@@ -198,12 +198,13 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     Without a border, a reciprocal condition estimate below machine
     epsilon raises SingularJacobian: mu sits at a bifurcation point.
 
-    border = (row_u, row_mu, rhs) frees mu under the scalar equation
-    rhs(u, mu) = 0 with gradient (row_u, row_mu) in (interior u, mu); the
-    result is then (u, mu).  The bordered matrix is regular at simple
-    bifurcation points, so it raises SingularJacobian only on an exactly
-    zero pivot or a vanishing Schur complement.  With return_info, the
-    result is followed by {"iterations", "history"}.
+    border = (row_u, row_mu) frees mu on the hyperplane through the start
+    (u0, mu0) with that normal in (interior u, mu): the border residual is
+    row_u . (u - u0) + row_mu (mu - mu0), and the result is (u, mu).  The
+    bordered matrix is regular at simple bifurcation points, so it raises
+    SingularJacobian only on an exactly zero pivot or a vanishing Schur
+    complement.  With return_info, the result is followed by
+    {"iterations", "history"}.
     """
     check_boundary(u0)
     if tol is None:
@@ -211,11 +212,12 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     a = SecondDiffOperator(spec.grid)
     u = u0.interior.copy()
     w = a.apply(u)
+    mu0 = mu
 
     def residuals(u, mu):
-        ufn = from_interior(spec.grid, u)
-        rc = 0.0 if border is None else border[2](ufn, mu)
-        return fp_residual(ufn, mu, spec)[0], rc
+        rc = (0.0 if border is None
+              else border[0] @ (u - u0.interior) + border[1] * (mu - mu0))
+        return fp_residual(from_interior(spec.grid, u), mu, spec)[0], rc
 
     history = []
     for iteration in range(max_iter + 1):

@@ -31,13 +31,9 @@ NODAL_TOL = 1e-10      # terminal residual, relative to the initial slopes
 
 def _weight_on_half_grid(m, n_steps):
     """Weight values at t_j = j/(2 n_steps), j = 0..2n (nodes and midpoints)."""
-    tt = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-    if callable(m):
-        return np.asarray(m(tt), dtype=float)
-    if isinstance(m, SampledFn):
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(m.grid.nodes, m.values)(tt)
-    raise TypeError("weight must be a callable or a SampledFn")
+    if not callable(m):
+        raise TypeError("weight must be a callable t -> m(t)")
+    return np.asarray(m(np.linspace(0.0, 1.0, 2 * n_steps + 1)), dtype=float)
 
 
 def _rk4_step(rhs, y, h, m0, mh, m1):
@@ -96,7 +92,7 @@ def _boundary_determinant(mu, m_half):
 
 
 def boundary_determinant(mu, m, n_steps=DEFAULT_STEPS):
-    """d(mu) for the weight m (callable or SampledFn), up to a positive factor."""
+    """d(mu) for the callable weight m, up to a positive factor."""
     return float(_boundary_determinant(float(mu), _weight_on_half_grid(m, n_steps)))
 
 

@@ -156,11 +156,10 @@ def _pencil(m, count_pos, count_neg):
             phi = _normalize(a.solve(vecs[:, i]), grid)
             profile = nodal_profile(phi)
             k = profile.count + 1
-            if not profile.in_class(k):
-                reason = (f"has {profile.anomalies[0]}" if profile.is_nodal
-                          else "carries a generalized double zero")
+            defect = profile.class_defect(k)
+            if defect is not None:
                 return tuple(pairs), NodalMismatch(
-                    f"eigenfunction at mu={mu:.6g} {reason}; "
+                    f"eigenfunction at mu={mu:.6g} {defect}; "
                     f"grid n={grid.n_interior} too coarse")
             if k in seen:
                 return tuple(pairs), NodalMismatch(

@@ -12,7 +12,7 @@ from beamspec.grid import e_norm, interior_dot, make_grid, sample
 from beamspec.linops import SecondDiffOperator, _MixedLU
 from beamspec.nodal import nodal_profile
 from beamspec.nonlinear import (AutonomousProblem, PerturbedProblem,
-                                _bordered_solve, fp_residual)
+                                _bordered_solve, fp_residual, newton)
 from beamspec.presets import (WEIGHTS, cubic_perturbation, linear_f,
                               saturating_f, zero_perturbation)
 from beamspec.shooting import shoot_nodal_solution
@@ -138,6 +138,30 @@ def test_trace_profile_constant(setup):
         assert p.profile.count == 1
         assert p.profile.sigma == +1
         assert p.profile.is_nodal
+    # each arclength increment is the length of its step's secant in the
+    # metric h |du|^2 + (dmu / mu_scale)^2
+    mu_scale = max(1.0, abs(branch.origin_mu))
+    for a, b in zip(branch.points, branch.points[1:]):
+        du = b.u.interior - a.u.interior
+        secant = np.sqrt(g.h * du @ du + ((b.mu - a.mu) / mu_scale) ** 2)
+        assert b.arclength - a.arclength == pytest.approx(secant, rel=1e-12)
+
+
+@pytest.mark.parametrize("row_mu", [0.0, 1e-3])
+def test_newton_border_is_a_hyperplane_through_the_start(setup, row_mu):
+    # at a branch start the border frees mu; every iterate, the result
+    # included, stays on the hyperplane through (u0, mu0) with that normal.
+    # At e_norm 100 the cubic term moves mu by several units.
+    g, one, res = setup
+    spec = PerturbedProblem(m=one, g=cubic_perturbation())
+    pair = res.pair(1, +1)
+    u0, mu0 = 100.0 * pair.phi, pair.mu
+    row_u = g.h * pair.phi.interior
+    tol = 1e-10
+    u, mu = newton(u0, mu0, spec, tol=tol, border=(row_u, row_mu))
+    assert abs(row_u @ (u.interior - u0.interior) + row_mu * (mu - mu0)) <= tol
+    assert mu != mu0
+    assert fp_residual(u, mu, spec)[0] <= tol
 
 
 def test_step_halving_reproduces_curve(setup):
@@ -195,7 +219,7 @@ def test_cross_hyperplane_refuses_a_non_nodal_crossing(setup, monkeypatch):
         return dataclasses.replace(nodal_profile(v), is_nodal=False)
 
     monkeypatch.setattr(continuation, "nodal_profile", double_zero)
-    with pytest.raises(NoCrossing, match="left the nodal class"):
+    with pytest.raises(NoCrossing, match="left the nodal class.*generalized double zero"):
         cross_hyperplane(branch, spec)
 
 

@@ -186,6 +186,14 @@ def test_boundary_determinant_sign_matches_closed_form():
         assert np.sign(d) == np.sign(np.sin(mu ** 0.25))
 
 
+def test_shooting_weight_must_be_callable():
+    # the oracle samples m at the RK4 half-steps; a grid sample would need
+    # an interpolant the oracle does not build
+    sampled = sample(WEIGHTS["one"], make_grid(48))
+    with pytest.raises(TypeError, match="callable"):
+        boundary_determinant(100.0, sampled)
+
+
 def test_pencil_shoot_cross_validation(grid800):
     # mutual oracle check on a sign-changing weight; richardson removes
     # the second-order pencil bias first
