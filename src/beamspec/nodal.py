@@ -63,8 +63,8 @@ class NodalProfile:
     anomalies: tuple = field(default=())
 
     def class_defect(self, k, sigma=None):
-        """The first condition of S_k^sigma the profile fails, worded to
-        follow "profile" in a message, or None for a member."""
+        """The first condition of S_k^sigma the profile fails, as a
+        predicate for a message ("has ..."), or None for a member."""
         if not self.is_nodal:
             return "carries a generalized double zero"
         if self.anomalies:

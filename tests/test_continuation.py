@@ -138,8 +138,16 @@ def test_trace_profile_constant(setup):
         assert p.profile.count == 1
         assert p.profile.sigma == +1
         assert p.profile.is_nodal
+
+
+def test_arclength_increment_is_the_secant_length(setup):
     # each arclength increment is the length of its step's secant in the
-    # metric h |du|^2 + (dmu / mu_scale)^2
+    # metric h |du|^2 + (dmu / mu_scale)^2, on a branch that bends in mu
+    g, one, res = setup
+    spec = PerturbedProblem(m=one, g=cubic_perturbation())
+    cfg = ContinuationConfig(ds=0.5, max_steps=20)
+    branch = trace_branch(bifurcation_start(1, +1, +1, spec, cfg, res), spec, cfg)
+    assert branch.points[-1].mu < 0.5 * branch.points[0].mu
     mu_scale = max(1.0, abs(branch.origin_mu))
     for a, b in zip(branch.points, branch.points[1:]):
         du = b.u.interior - a.u.interior
