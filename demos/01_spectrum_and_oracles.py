@@ -49,7 +49,7 @@ print("independent oracle: RK4 shooting on the boundary determinant")
 print("=" * 72)
 fn = lambda t: np.sin(3 * np.pi * np.asarray(t, dtype=float))
 fine, pos_x, neg_x = eigen_pencil_extrapolated(fn, grid, 3, 3, fine=res3)
-print("  two-grid extrapolated pencil vs shooting bisection:")
+print("  two-grid extrapolated pencil vs shooting (Brent root of d):")
 for mu_x in pos_x[:3]:
     others = [m for m in pos_x if m != mu_x]
     width = min([0.05 * abs(mu_x)] + [0.45 * abs(mu_x - o) for o in others])

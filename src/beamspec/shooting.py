@@ -16,23 +16,27 @@ solutions; mu is an eigenvalue exactly when the boundary determinant
 vanishes.  The system is linear, so one RK4 step is a 4x4 transfer matrix;
 all steps are built at once, and their second compounds (the 6x6 matrices
 of 2x2 minors) are multiplied by a pairwise tree.  Roots of d are found by
-bisection on a sign-changing bracket.
+Brent's method (Brent, Algorithms for Minimization without Derivatives,
+1973, ch. 4) on a sign-changing bracket.
 """
 
 import numpy as np
 
-from .errors import NoConvergence, NoSignChange
+from .errors import NoConvergence, NoSignChange, ValidationError
 from .grid import SampledFn
 
 DEFAULT_STEPS = 10000  # step 1e-4 over [0, 1]
 NODAL_MAX_ITER = 30    # Newton iterations of the nonlinear shoot
 NODAL_TOL = 1e-10      # terminal residual, relative to the initial slopes
+_EPS = np.finfo(float).eps
 
 
 def _weight_on_half_grid(m, n_steps):
     """Weight values at t_j = j/(2 n_steps), j = 0..2n (nodes and midpoints)."""
     if not callable(m):
         raise TypeError("weight must be a callable t -> m(t)")
+    if n_steps < 1:
+        raise ValidationError(f"n_steps must be at least 1, got {n_steps}")
     return np.asarray(m(np.linspace(0.0, 1.0, 2 * n_steps + 1)), dtype=float)
 
 
@@ -100,11 +104,15 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
     """Eigenvalue of u'''' = mu m u inside the bracket, by RK4 shooting.
 
     The bracket endpoints must give opposite signs of the boundary
-    determinant; bisection shrinks it to a relative width of rtol.
+    determinant.  Brent's method shrinks the sign-change bracket [lo, hi]
+    until it is no wider than rtol * (1 + (|lo| + |hi|) / 2) and returns
+    the endpoint where |d| is smaller.
     """
     lo, hi = float(mu_bracket[0]), float(mu_bracket[1])
-    if lo > hi:
-        lo, hi = hi, lo
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValidationError(f"bracket ({lo}, {hi}) is not finite")
+    if not (np.isfinite(rtol) and rtol > 0.0):
+        raise ValidationError(f"rtol must be positive and finite, got {rtol}")
     m_half = _weight_on_half_grid(m, n_steps)
     dlo = _boundary_determinant(lo, m_half)
     dhi = _boundary_determinant(hi, m_half)
@@ -115,16 +123,43 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
     if dlo * dhi > 0.0:
         raise NoSignChange(
             f"d({lo}) = {dlo:.3e} and d({hi}) = {dhi:.3e} have the same sign")
-    while hi - lo > rtol * (1.0 + 0.5 * (abs(lo) + abs(hi))):
-        mid = 0.5 * (lo + hi)
-        dm = _boundary_determinant(mid, m_half)
-        if dm == 0.0:
-            return mid
-        if dlo * dm < 0.0:
-            hi = mid
+    # b is the latest iterate, c the last point where d has the other sign
+    # and a the previous b; an interpolation step must be shorter than half
+    # the step before last, e
+    a, da, b, db = lo, dlo, hi, dhi
+    c, dc = a, da
+    e = step = b - a
+    while True:
+        if abs(dc) < abs(db):
+            a, da, b, db, c, dc = b, db, c, dc, b, db
+        # half the stopping width, and never below the spacing of floats at b
+        tol = max(0.25 * rtol * (2.0 + abs(b) + abs(c)), 2.0 * _EPS * abs(b))
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or db == 0.0:
+            return float(b)
+        if abs(e) >= tol and abs(da) > abs(db):
+            s = db / da
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:       # inverse quadratic interpolation
+                q, r = da / dc, db / dc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(e * q)):
+                e, step = step, p / q
+            else:  # the interpolant steps too far or too slowly: bisect
+                e = step = half
         else:
-            lo, dlo = mid, dm
-    return 0.5 * (lo + hi)
+            e = step = half
+        a, da = b, db
+        b += step if abs(step) > tol else np.copysign(tol, half)
+        db = _boundary_determinant(b, m_half)
+        if (db > 0.0) == (dc > 0.0):
+            c, dc = a, da
+            e = step = b - a
 
 
 def _integrate_nonlinear(a, b, gamma, m_half, f):

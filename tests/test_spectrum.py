@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from beamspec import spectrum
-from beamspec.errors import NodalMismatch, NoSignChange, NotInWeightClass
+import beamspec
+from beamspec import shooting, spectrum
+from beamspec.errors import NodalMismatch, NoSignChange, NotInWeightClass, ValidationError
 from beamspec.grid import make_grid, sample
 from beamspec.presets import WEIGHTS, weight
 from beamspec.shooting import boundary_determinant, shoot_eigenvalue
@@ -192,6 +197,79 @@ def test_shooting_weight_must_be_callable():
     sampled = sample(WEIGHTS["one"], make_grid(48))
     with pytest.raises(TypeError, match="callable"):
         boundary_determinant(100.0, sampled)
+
+
+def _count_determinants(monkeypatch):
+    """Record every (mu, d(mu)) the shooting oracle evaluates."""
+    evaluated = []
+    inner = shooting._boundary_determinant
+
+    def counting(mu, m_half):
+        d = inner(mu, m_half)
+        evaluated.append((mu, d))
+        return d
+
+    monkeypatch.setattr(shooting, "_boundary_determinant", counting)
+    return evaluated
+
+
+@pytest.mark.parametrize("bracket", [(90.0, 110.0), (1500.0, 1600.0)])
+def test_eigen_shoot_root_needs_few_determinants(monkeypatch, bracket):
+    one = WEIGHTS["one"]
+    evaluated = _count_determinants(monkeypatch)
+    root = shoot_eigenvalue(one, bracket)
+    # bisection needs 31 midpoints here, plus the two endpoints
+    assert len(evaluated) <= 12
+    # the root lies within one stopping width of a sign change of d
+    width = 1e-10 * (1.0 + abs(root))
+    assert boundary_determinant(root - width, one) * boundary_determinant(root + width, one) <= 0.0
+
+
+def test_eigen_shoot_bisects_a_badly_scaled_bracket(monkeypatch):
+    # d falls from 1 at mu = 1 to about -2e-6 at mu = 1500, so the first
+    # interpolation steps land far from the root pi^4 and Brent bisects
+    evaluated = _count_determinants(monkeypatch)
+    root = shoot_eigenvalue(WEIGHTS["one"], (1.0, 1500.0))
+    assert root == pytest.approx(np.pi ** 4, rel=1e-6)
+    bisection = 2 + int(np.ceil(np.log2(1499.0 / (1e-10 * (1.0 + np.pi ** 4)))))
+    assert len(evaluated) <= 2 * bisection
+
+    def bisects(i):
+        # every iterate lies inside the tightest sign-change bracket of the
+        # evaluations before it; a bisection step lands on its midpoint
+        done = sorted(evaluated[:i])
+        lo, hi = next((x, y) for (x, dx), (y, dy) in zip(done, done[1:]) if dx * dy < 0.0)
+        return evaluated[i][0] == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+
+    assert any(bisects(i) for i in range(2, len(evaluated)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: shoot_eigenvalue(m, (np.nan, 110.0)),
+    lambda m: shoot_eigenvalue(m, (90.0, np.inf)),
+    lambda m: shoot_eigenvalue(m, (90.0, 110.0), rtol=0.0),
+    lambda m: shoot_eigenvalue(m, (90.0, 110.0), rtol=-1e-10),
+    lambda m: shoot_eigenvalue(m, (90.0, 110.0), rtol=np.nan),
+    lambda m: shoot_eigenvalue(m, (90.0, 110.0), n_steps=0),
+    lambda m: shoot_eigenvalue(m, (90.0, 110.0), n_steps=-3),
+    lambda m: boundary_determinant(100.0, m, n_steps=0),
+], ids=["nan-bracket", "inf-bracket", "rtol-zero", "rtol-negative", "rtol-nan",
+        "steps-zero", "steps-negative", "determinant-steps-zero"])
+def test_shooting_rejects_bad_input_before_any_determinant(monkeypatch, call):
+    evaluated = _count_determinants(monkeypatch)
+    with pytest.raises(ValidationError):
+        call(WEIGHTS["one"])
+    assert evaluated == []
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize takes about 0.15 s, which every command and
+    # every benchmark set-up would pay
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamspec.__file__)))
+    code = "import sys, beamspec; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_pencil_shoot_cross_validation(grid800):
