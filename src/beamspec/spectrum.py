@@ -36,6 +36,7 @@ instead of eps*cond(K) = eps*cond(A)^2, which at n = 2000 is the
 difference between 1e-10 and 1e-4 of relative eigenvalue noise.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,39 @@ NULL_TOL = 1e-10
 
 # adjacent eigenvalues closer than this relative gap get a near-degeneracy flag
 SEPARATION_TOL = 1e-6
+
+# numpy asks for transparent huge pages on arrays of this size and more
+_HUGE_ARRAY_BYTES = 1 << 22
+# free heap kept for reuse; the shooting oracle's arrays cycle through ~20 MB
+_HEAP_KEEP_BYTES = 1 << 25
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _glibc_heap():
+    """Fix glibc's allocation thresholds; return its malloc_trim.
+
+    The dense n x n arrays of the pencil are 32 MB each at n = 2000.
+    glibc's adaptive threshold moves such arrays onto the heap after the
+    first one is freed, and freed heap memory stays mapped; the kernel's
+    background huge-page collapse then refills it at times of its own, so
+    the peak memory of one process differed by 30 MB from the next.  A
+    fixed threshold at numpy's huge-page size keeps those arrays out of
+    the heap, each returned to the system when it is freed.  The heap
+    keeps up to _HEAP_KEEP_BYTES of freed smaller arrays for reuse (at 8
+    MB a shoot took about 1.6 times as long); _pencil hands that back
+    through malloc_trim before it allocates.  Off glibc this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: None
+    mallopt(_M_MMAP_THRESHOLD, _HUGE_ARRAY_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP_BYTES)
+    return malloc_trim
+
+
+_malloc_trim = _glibc_heap()
 
 
 @dataclass(frozen=True)
@@ -137,6 +171,8 @@ def _pencil(m, count_pos, count_neg):
 
     grid = m.grid
     a = SecondDiffOperator(grid)
+    # the free heap the smaller arrays keep would add to the peak below
+    _malloc_trim(0)
     # symmetrized and decomposed in place: each dense n x n temporary
     # dropped here is 32 MB of peak memory at n = 2000
     g = a.solve(a.solve(np.diag(mv)).T)

@@ -272,6 +272,21 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_freed_dense_arrays_leave_the_process():
+    # under glibc's adaptive mmap threshold the second of two 32 MB arrays,
+    # each freed before the next, lands on the heap and stays resident
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamspec.__file__)))
+    code = ("import os, beamspec, numpy as np\n"
+            "def rss(): return int(open('/proc/self/statm').read().split()[1])\n"
+            "for _ in range(2):\n"
+            "    before = rss(); a = np.ones((2000, 2000)); del a\n"
+            "print((rss() - before) * os.sysconf('SC_PAGE_SIZE') / 2**20)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert float(out.stdout) < 4.0
+
+
 def test_pencil_shoot_cross_validation(grid800):
     # mutual oracle check on a sign-changing weight; richardson removes
     # the second-order pencil bias first
