@@ -204,9 +204,12 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
         t_u, t_mu = du / step_len, dmu / step_len
         accepted = None
         while accepted is None:
-            pred_u = from_interior(spec.grid, cur.u.interior + ds * t_u)
+            pred = cur.u.interior + ds * t_u
             pred_mu = cur.mu + ds * t_mu * mu_scale
             try:
+                if not (np.all(np.isfinite(pred)) and np.isfinite(pred_mu)):
+                    raise NoConvergence(f"non-finite predictor at ds={ds:.3e}")
+                pred_u = from_interior(spec.grid, pred)
                 u, mu = newton(pred_u, pred_mu, spec,
                                tol=_point_tol(pred_u, cur.norm.value),
                                max_iter=MAX_CORRECTOR_ITER,

@@ -74,7 +74,8 @@ def manufactured_perturbation(weight_fn):
 
 def linear_f():
     """f(s) = s with slopes (1, 1)."""
-    return AsymptoticF(f=lambda s: np.asarray(s, dtype=float), f0=1.0, finf=1.0,
+    # 1.0 * s is s itself as a new float or array, -0.0 included
+    return AsymptoticF(f=lambda s: 1.0 * s, f0=1.0, finf=1.0,
                        derivative=lambda s: np.ones_like(np.asarray(s, dtype=float)),
                        name="linear")
 
@@ -83,12 +84,12 @@ def saturating_f(gain=2.0):
     """f(s) = s (gain - (gain-1)/(1+s^2)): slope 1 at zero, gain at infinity."""
     c = gain - 1.0
 
+    # plain arithmetic keeps a float a float: the nonlinear shoot calls f
+    # once per RK4 stage, where a numpy scalar costs several times more
     def f(s):
-        s = np.asarray(s, dtype=float)
         return s * (gain - c / (1.0 + s * s))
 
     def df(s):
-        s = np.asarray(s, dtype=float)
         return gain - c / (1.0 + s * s) + 2.0 * c * s * s / (1.0 + s * s) ** 2
 
     return AsymptoticF(f=f, f0=1.0, finf=float(gain), derivative=df,

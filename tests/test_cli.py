@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import beamspec
 from beamspec.cli import run
 
 
@@ -163,18 +166,35 @@ def _malformed_files(tmp_path):
     (["spectrum", "--kneg", "-2"], 2),
     # the working directory: a path that exists but is not a CSV file
     (["spectrum", "--weight", "."], 2),
+    # predictors and corrector iterates overflow until the halved step
+    # fits; the branches then cross the norm budget
+    (["branch", "--ds", "1e299", "--ds-max", "1e300"], 0),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
         "sturm-zero-pairs", "branch-negative-norm-budget", "branch-max-steps-0",
         "branch-max-steps-negative", "branch-k-0", "solve-k-0",
-        "spectrum-kneg-minus-2", "spectrum-weight-directory"])
+        "spectrum-kneg-minus-2", "spectrum-weight-directory", "branch-ds-overflow"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
     argv = [a.format(**files) for a in argv]
     assert run(argv + ["--n", "300", "--out", str(tmp_path / "out")]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("module", ["beamspec", "beamspec.cli"])
+def test_module_entry_points_write_the_spectrum(tmp_path, module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamspec.__file__)))
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", module, "spectrum", "--n", "48",
+                           "--kmax", "2", "--out", str(out)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(out)) == ["manifest.json", "phi_pos_k1.csv",
+                                       "phi_pos_k2.csv", "spectrum.json"]
+    _manifest_checks_out(out)
 
 
 @pytest.mark.parametrize("argv", [["branch"], ["solve", "--gamma", "70"]],

@@ -7,8 +7,9 @@ from beamspec.grid import SampledFn, make_grid, sample
 from beamspec.nonlinear import (AsymptoticF, AutonomousProblem, PerturbationG,
                                 PerturbedProblem, check_asymptotics,
                                 check_small_o, fp_residual, newton, residual)
-from beamspec.presets import (cubic_perturbation, manufactured_perturbation,
-                              saturating_f, zero_perturbation)
+from beamspec.presets import (cubic_perturbation, linear_f,
+                              manufactured_perturbation, saturating_f,
+                              zero_perturbation)
 
 
 def _one(n):
@@ -115,6 +116,25 @@ def test_check_asymptotics_linear():
     assert f0 == pytest.approx(1.0, rel=1e-9)
     assert finf == pytest.approx(1.0, rel=1e-9)
     assert h1
+
+
+@pytest.mark.parametrize("fn", [saturating_f().f, saturating_f().derivative,
+                                saturating_f(gain=17).f, linear_f().f],
+                         ids=["saturating-f", "saturating-df", "saturating-int-gain-f",
+                              "linear-f"])
+def test_builtin_nonlinearity_keeps_a_float_a_float(fn):
+    # the nonlinear shoot calls f once per RK4 stage on Python floats, where
+    # a numpy scalar costs several times more
+    out = fn(0.7)
+    assert type(out) is float
+    assert out == fn(np.array([0.7]))[0]
+
+
+def test_linear_f_returns_a_new_array():
+    s = np.array([1.0, -0.0, 2.5])
+    out = linear_f().f(s)
+    assert out is not s
+    assert out.tobytes() == s.tobytes()
 
 
 def test_check_asymptotics_saturating():

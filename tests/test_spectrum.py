@@ -253,13 +253,64 @@ def test_eigen_shoot_bisects_a_badly_scaled_bracket(monkeypatch):
     lambda m: shoot_eigenvalue(m, (90.0, 110.0), n_steps=0),
     lambda m: shoot_eigenvalue(m, (90.0, 110.0), n_steps=-3),
     lambda m: boundary_determinant(100.0, m, n_steps=0),
+    lambda m: shoot_eigenvalue(lambda t: np.where(t > 0.5, np.nan, m(t)), (90.0, 110.0)),
 ], ids=["nan-bracket", "inf-bracket", "rtol-zero", "rtol-negative", "rtol-nan",
-        "steps-zero", "steps-negative", "determinant-steps-zero"])
+        "steps-zero", "steps-negative", "determinant-steps-zero", "nan-weight"])
 def test_shooting_rejects_bad_input_before_any_determinant(monkeypatch, call):
     evaluated = _count_determinants(monkeypatch)
     with pytest.raises(ValidationError):
         call(WEIGHTS["one"])
     assert evaluated == []
+
+
+def _determinant_per_step(mu, m_half):
+    """The per-step compound product that the block product replaced, kept
+    verbatim as the reference it must reproduce."""
+    n = (len(m_half) - 1) // 2
+
+    def rhs(y, m):
+        return y[1], y[2], y[3], mu * m * y[0]
+
+    p = np.array(shooting._rk4_step(rhs, tuple(np.eye(4)[:, :, None]), 1.0 / n,
+                                    m_half[0:-1:2], m_half[1::2], m_half[2::2]))
+    i, j, k, l = shooting._I, shooting._J, shooting._K, shooting._L
+    c = np.moveaxis(p[i, k] * p[j, l] - p[i, l] * p[j, k], -1, 0)
+    while len(c) > 1:
+        if len(c) % 2:
+            c = np.concatenate([c, np.eye(6)[None]])
+        c = c[1::2] @ c[0::2]
+        c /= np.max(np.abs(c), axis=(1, 2), keepdims=True)
+    return c[0, 1, 4]
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 31, 33, 10000])
+def test_block_product_keeps_the_per_step_sign(n_steps):
+    # 1 and 3 steps fit in one padded block, 31 and 33 sit on either side of
+    # its edge; on so few steps the blocks shrink as |mu| grows, down to
+    # single steps, where a whole block product would cancel past float
+    # precision (d(4.6e7) = 0.0 at 31 steps)
+    mus = [-4.6e7, -1e6, -6.8e4, -500.0, 97.0, 500.0, 1e4, 1.15e5, 1e6, 4.6e7]
+    for name in ("one", "sin3pi"):
+        m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
+        for mu in mus:
+            d = shooting._boundary_determinant(mu, m_half)
+            assert np.isfinite(d)
+            assert np.sign(d) == np.sign(_determinant_per_step(mu, m_half))
+
+
+@pytest.mark.parametrize("name, bracket", [
+    ("one", (90.0, 110.0)),
+    ("one", (0.97 * (5 * np.pi) ** 4, 1.03 * (5 * np.pi) ** 4)),
+    ("one", (0.97 * (26 * np.pi) ** 4, 1.03 * (26 * np.pi) ** 4)),
+    # isolated by scanning d on a uniform mu grid
+    ("sin3pi", (114215.5, 114714.3)),
+    ("sin3pi", (-68330.8, -67832.1)),
+    ("sin3pi", (-4.57e7, -4.565e7)),
+], ids=["one-k1", "one-k5", "one-k26", "sin3pi-plus", "sin3pi-minus", "sin3pi-minus-4.6e7"])
+def test_block_product_roots_match_the_per_step_roots(monkeypatch, name, bracket):
+    root = shoot_eigenvalue(WEIGHTS[name], bracket)
+    monkeypatch.setattr(shooting, "_boundary_determinant", _determinant_per_step)
+    assert root == pytest.approx(shoot_eigenvalue(WEIGHTS[name], bracket), rel=1e-12)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
