@@ -215,12 +215,15 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     mu0 = mu
 
     def residuals(u, mu):
-        rc = (0.0 if border is None
-              else border[0] @ (u - u0.interior) + border[1] * (mu - mu0))
-        try:
-            return fp_residual(from_interior(spec.grid, u), mu, spec)[0], rc
-        except ValueError:  # SampledFn refuses a non-finite u or source
-            raise NoConvergence("non-finite iterate or residual") from None
+        # a huge iterate may overflow to inf or nan, which SampledFn
+        # refuses; that refusal is the outcome, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = (0.0 if border is None
+                  else border[0] @ (u - u0.interior) + border[1] * (mu - mu0))
+            try:
+                return fp_residual(from_interior(spec.grid, u), mu, spec)[0], rc
+            except ValueError:  # SampledFn refuses a non-finite u or source
+                raise NoConvergence("non-finite iterate or residual") from None
 
     history = []
     for iteration in range(max_iter + 1):

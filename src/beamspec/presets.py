@@ -98,10 +98,12 @@ def saturating_f(gain=2.0):
 
 def atan_shift_f():
     """f(s) = s + atan(s): slope 2 at zero, 1 at infinity."""
+    # np.arctan turns a float into a numpy scalar; math.atan would keep it
+    # a float but rounds differently from np.arctan on some arrays
     return AsymptoticF(
-        f=lambda s: np.asarray(s, dtype=float) + np.arctan(np.asarray(s, dtype=float)),
+        f=lambda s: s + np.arctan(s),
         f0=2.0, finf=1.0,
-        derivative=lambda s: 1.0 + 1.0 / (1.0 + np.asarray(s, dtype=float) ** 2),
+        derivative=lambda s: 1.0 + 1.0 / (1.0 + s * s),
         name="atan_shift")
 
 

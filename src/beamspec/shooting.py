@@ -3,9 +3,10 @@
 Everything here integrates the beam ODE as a first-order 4-system with
 classical fourth-order Runge-Kutta at a fixed step (<= 1e-4) and never
 touches the finite-difference operators, so it can serve as an
-independent cross-check for them.  Both oracles share one RK4 step,
-written in plain arithmetic so that the state components may be Python
-floats (the nonlinear shoot) or numpy arrays (the linear pencil).
+independent cross-check for them.  The nonlinear shoot steps a state of
+Python floats through _rk4_step.  The linear oracle takes the same RK4
+scheme in closed matrix form, and the tests check that form entry by
+entry against _rk4_step stepped on the identity.
 
 For the linear pencil u'''' = mu m(t) u the two IVP columns with
 u(0) = u''(0) = 0 and (u', u''')(0) in {(1,0), (0,1)} span all admissible
@@ -13,12 +14,22 @@ solutions; mu is an eigenvalue exactly when the boundary determinant
 
     d(mu) = u_a(1) u_b''(1) - u_b(1) u_a''(1)
 
-vanishes.  The system is linear, so one RK4 step is a 4x4 transfer matrix,
-and all steps are built at once.  d is a 2x2 minor of the product of all
-steps; taken from that 4x4 product it would cancel to about exp(-|mu|^1/4)
-of the terms it is formed from.  The second compound (the 6x6 matrix of
-2x2 minors) of a product is the product of the second compounds
-(Cauchy-Binet), and holds the minor itself as an entry.
+vanishes.  The system is linear, so one RK4 step is a 4x4 transfer matrix.
+Its companion matrix is A(q) = S + q E, with S the shift e_i -> e_(i-1),
+E = e4 e1^T and q = mu m(t).  A step of length h is I plus a sum of
+products of at most four factors A(q), taken at the start, midpoint and
+end of the step.  Two factors E in one product are separated by at most
+two factors S, and E S^k E = 0 for k <= 2, so every product is affine in
+mu.  The step matrix is therefore exactly T0 + mu W_j, where
+T0 = sum_(k<=3) (hS)^k / k! and W_j has ten entries, linear in the weight
+at the three nodes of step j.  W is built once per shoot, and each
+determinant forms all its steps from it in two array operations.
+
+d is a 2x2 minor of the product of all steps; taken from that 4x4 product
+it would cancel to about exp(-|mu|^1/4) of the terms it is formed from.
+The second compound (the 6x6 matrix of 2x2 minors) of a product is the
+product of the second compounds (Cauchy-Binet), and holds the minor itself
+as an entry.
 
 The steps are first multiplied as 4x4 matrices in blocks of BLOCK
 consecutive steps, the last block padded with identities; only the block
@@ -86,25 +97,45 @@ _I, _J = _PAIRS[:, :1], _PAIRS[:, 1:]
 _K, _L = _PAIRS[:, 0], _PAIRS[:, 1]
 
 
-def _boundary_determinant(mu, m_half):
+def _linear_steps(m_half):
+    """(T0, W, max |m|), where T0 + mu W[j] is RK4 step j of u'''' = mu m u.
+
+    Each entry of W collects the products with one factor E in the RK4
+    step, named on its right; m0, mh and m1 are the weight at the start,
+    midpoint and end of each step.
+    """
     n = (len(m_half) - 1) // 2
+    h = 1.0 / n
+    m0, mh, m1 = m_half[0:-1:2], m_half[1::2], m_half[2::2]
+    w = np.zeros((n, 4, 4))
+    w[:, 3, 0] = h / 6.0 * (m0 + 4.0 * mh + m1)       # E
+    w[:, 3, 1] = h ** 2 / 6.0 * (2.0 * mh + m1)       # E S
+    w[:, 2, 0] = h ** 2 / 6.0 * (m0 + 2.0 * mh)       # S E
+    w[:, 3, 2] = h ** 3 / 12.0 * (mh + m1)            # E S^2
+    w[:, 2, 1] = h ** 3 / 6.0 * mh                    # S E S
+    w[:, 1, 0] = h ** 3 / 12.0 * (m0 + mh)            # S^2 E
+    w[:, 3, 3] = h ** 4 / 24.0 * m1                   # E S^3
+    w[:, 2, 2] = w[:, 1, 1] = h ** 4 / 24.0 * mh      # S E S^2, S^2 E S
+    w[:, 0, 0] = h ** 4 / 24.0 * m0                   # S^3 E
+    hs = np.eye(4, k=1) * h
+    t0 = np.eye(4) + hs + hs @ hs / 2.0 + hs @ hs @ hs / 6.0
+    return t0, w, float(np.max(np.abs(m_half)))
 
-    def rhs(y, m):
-        return y[1], y[2], y[3], mu * m * y[0]
 
-    # stepping the identity with the weight of every step as an array gives
-    # all n transfer matrices at once: t[j] maps y(t_j) to y(t_j+1)
-    p = _rk4_step(rhs, tuple(np.eye(4)[:, :, None]), 1.0 / n,
-                  m_half[0:-1:2], m_half[1::2], m_half[2::2])
+def _boundary_determinant(mu, steps):
+    t0, w, m_max = steps
+    n = len(w)
     # blocks of size steps, halved until one spans at most 1 / |mu m|^1/4
     # of [0, 1]; identities pad the steps to whole blocks
-    reach = (abs(mu) * np.max(np.abs(m_half))) ** 0.25
+    reach = (abs(mu) * m_max) ** 0.25
     size = BLOCK
     while size > 1 and size * reach > n:
         size //= 2
+    # t[j] maps y(t_j) to y(t_j+1)
     t = np.empty((n + -n % size, 4, 4))
     t[n:] = np.eye(4)
-    t[:n] = np.moveaxis(np.array(p), -1, 0)
+    np.multiply(mu, w, out=t[:n])
+    t[:n] += t0
     for _ in range(size.bit_length() - 1):
         t = t[1::2] @ t[0::2]  # the later step on the left
     # the second compounds of the block products, multiplied the same way
@@ -123,7 +154,8 @@ def _boundary_determinant(mu, m_half):
 
 def boundary_determinant(mu, m, n_steps=DEFAULT_STEPS):
     """d(mu) for the callable weight m, up to a positive factor."""
-    return float(_boundary_determinant(float(mu), _weight_on_half_grid(m, n_steps)))
+    steps = _linear_steps(_weight_on_half_grid(m, n_steps))
+    return float(_boundary_determinant(float(mu), steps))
 
 
 def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
@@ -139,9 +171,9 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
         raise ValidationError(f"bracket ({lo}, {hi}) is not finite")
     if not (np.isfinite(rtol) and rtol > 0.0):
         raise ValidationError(f"rtol must be positive and finite, got {rtol}")
-    m_half = _weight_on_half_grid(m, n_steps)
-    dlo = _boundary_determinant(lo, m_half)
-    dhi = _boundary_determinant(hi, m_half)
+    steps = _linear_steps(_weight_on_half_grid(m, n_steps))
+    dlo = _boundary_determinant(lo, steps)
+    dhi = _boundary_determinant(hi, steps)
     if dlo == 0.0:
         return lo
     if dhi == 0.0:
@@ -182,7 +214,7 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
             e = step = half
         a, da = b, db
         b += step if abs(step) > tol else np.copysign(tol, half)
-        db = _boundary_determinant(b, m_half)
+        db = _boundary_determinant(b, steps)
         if (db > 0.0) == (dc > 0.0):
             c, dc = a, da
             e = step = b - a

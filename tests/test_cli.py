@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -178,9 +179,13 @@ def _malformed_files(tmp_path):
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
     argv = [a.format(**files) for a in argv]
-    assert run(argv + ["--n", "300", "--out", str(tmp_path / "out")]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--n", "300", "--out", str(tmp_path / "out")]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+    # numpy's overflow warnings would name library internals to the user
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("module", ["beamspec", "beamspec.cli"])

@@ -7,7 +7,7 @@ from beamspec.grid import SampledFn, make_grid, sample
 from beamspec.nonlinear import (AsymptoticF, AutonomousProblem, PerturbationG,
                                 PerturbedProblem, check_asymptotics,
                                 check_small_o, fp_residual, newton, residual)
-from beamspec.presets import (cubic_perturbation, linear_f,
+from beamspec.presets import (atan_shift_f, cubic_perturbation, linear_f,
                               manufactured_perturbation, saturating_f,
                               zero_perturbation)
 
@@ -119,15 +119,24 @@ def test_check_asymptotics_linear():
 
 
 @pytest.mark.parametrize("fn", [saturating_f().f, saturating_f().derivative,
-                                saturating_f(gain=17).f, linear_f().f],
+                                saturating_f(gain=17).f, linear_f().f,
+                                atan_shift_f().derivative],
                          ids=["saturating-f", "saturating-df", "saturating-int-gain-f",
-                              "linear-f"])
+                              "linear-f", "atan-shift-df"])
 def test_builtin_nonlinearity_keeps_a_float_a_float(fn):
     # the nonlinear shoot calls f once per RK4 stage on Python floats, where
     # a numpy scalar costs several times more
     out = fn(0.7)
     assert type(out) is float
     assert out == fn(np.array([0.7]))[0]
+
+
+def test_atan_shift_f_rounds_floats_as_arrays():
+    # np.arctan returns a numpy scalar on a float; math.atan, which would
+    # not, rounds some arguments differently from np.arctan on an array
+    s = np.random.default_rng(3).standard_normal(16000) * 10.0 ** np.arange(-8, 8).repeat(1000)
+    f = atan_shift_f().f
+    assert np.array([f(x) for x in s.tolist()]).tobytes() == f(s).tobytes()
 
 
 def test_linear_f_returns_a_new_array():

@@ -204,8 +204,8 @@ def _count_determinants(monkeypatch):
     evaluated = []
     inner = shooting._boundary_determinant
 
-    def counting(mu, m_half):
-        d = inner(mu, m_half)
+    def counting(mu, steps):
+        d = inner(mu, steps)
         evaluated.append((mu, d))
         return d
 
@@ -263,16 +263,54 @@ def test_shooting_rejects_bad_input_before_any_determinant(monkeypatch, call):
     assert evaluated == []
 
 
-def _determinant_per_step(mu, m_half):
-    """The per-step compound product that the block product replaced, kept
-    verbatim as the reference it must reproduce."""
+def _rk4_on_the_identity(mu, m_half):
+    """The RK4 step matrices of the linear pencil, shape (4, 4, n), from
+    stepping the identity through _rk4_step with every step's weight as an array."""
     n = (len(m_half) - 1) // 2
 
     def rhs(y, m):
         return y[1], y[2], y[3], mu * m * y[0]
 
-    p = np.array(shooting._rk4_step(rhs, tuple(np.eye(4)[:, :, None]), 1.0 / n,
-                                    m_half[0:-1:2], m_half[1::2], m_half[2::2]))
+    return np.array(shooting._rk4_step(rhs, tuple(np.eye(4)[:, :, None]), 1.0 / n,
+                                       m_half[0:-1:2], m_half[1::2], m_half[2::2]))
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 10000])
+@pytest.mark.parametrize("name", ["one", "sin3pi", "random"])
+def test_linear_steps_match_rk4_on_the_identity(name, n_steps):
+    if name == "random":  # a rough weight: independent samples at every node and midpoint
+        m_half = np.random.default_rng(n_steps).uniform(-1.0, 1.0, 2 * n_steps + 1)
+    else:
+        m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
+    t0, w, m_max = shooting._linear_steps(m_half)
+    assert w.shape == (n_steps, 4, 4)
+    assert m_max == np.max(np.abs(m_half))
+    for mu in [sign * scale for scale in (1.0, 1e3, 1e5, 4.6e7) for sign in (1, -1)]:
+        p = np.moveaxis(_rk4_on_the_identity(mu, m_half), -1, 0)
+        # both sides round sums of terms up to the largest entry, which a
+        # rough weight can make cancel within one step
+        assert np.max(np.abs(t0 + mu * w - p)) <= 8 * np.finfo(float).eps * np.max(np.abs(p))
+
+
+def test_a_shoot_builds_its_step_matrices_once(monkeypatch):
+    builds = []
+    inner = shooting._linear_steps
+
+    def counting(m_half):
+        builds.append(len(m_half))
+        return inner(m_half)
+
+    monkeypatch.setattr(shooting, "_linear_steps", counting)
+    evaluated = _count_determinants(monkeypatch)
+    shoot_eigenvalue(WEIGHTS["sin3pi"], (114215.5, 114714.3))
+    assert builds == [2 * shooting.DEFAULT_STEPS + 1]
+    assert len(evaluated) > 2
+
+
+def _determinant_per_step(mu, m_half):
+    """The per-step compound product that the block product replaced, kept
+    verbatim as the reference it must reproduce."""
+    p = _rk4_on_the_identity(mu, m_half)
     i, j, k, l = shooting._I, shooting._J, shooting._K, shooting._L
     c = np.moveaxis(p[i, k] * p[j, l] - p[i, l] * p[j, k], -1, 0)
     while len(c) > 1:
@@ -292,8 +330,9 @@ def test_block_product_keeps_the_per_step_sign(n_steps):
     mus = [-4.6e7, -1e6, -6.8e4, -500.0, 97.0, 500.0, 1e4, 1.15e5, 1e6, 4.6e7]
     for name in ("one", "sin3pi"):
         m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
+        steps = shooting._linear_steps(m_half)
         for mu in mus:
-            d = shooting._boundary_determinant(mu, m_half)
+            d = shooting._boundary_determinant(mu, steps)
             assert np.isfinite(d)
             assert np.sign(d) == np.sign(_determinant_per_step(mu, m_half))
 
@@ -309,6 +348,7 @@ def test_block_product_keeps_the_per_step_sign(n_steps):
 ], ids=["one-k1", "one-k5", "one-k26", "sin3pi-plus", "sin3pi-minus", "sin3pi-minus-4.6e7"])
 def test_block_product_roots_match_the_per_step_roots(monkeypatch, name, bracket):
     root = shoot_eigenvalue(WEIGHTS[name], bracket)
+    monkeypatch.setattr(shooting, "_linear_steps", lambda m_half: m_half)
     monkeypatch.setattr(shooting, "_boundary_determinant", _determinant_per_step)
     assert root == pytest.approx(shoot_eigenvalue(WEIGHTS[name], bracket), rel=1e-12)
 
