@@ -11,8 +11,7 @@ nodal solutions of u'''' = gamma m(t) f(u).
 
 __version__ = "0.1.0"
 
-from .analysis import (degree_parity_sweep, divergence_check, spacing_check,
-                       sturm_check)
+from .analysis import degree_parity_sweep, spacing_check, sturm_check
 from .continuation import (Branch, BranchPoint, ContinuationConfig,
                            bifurcation_start, cross_hyperplane, save_branch,
                            solve_nodal, solve_nodal_range, trace_branch)
@@ -23,8 +22,8 @@ from .linops import SecondDiffOperator, det_sign_psi, lambda2, lambda_solve
 from .nodal import (NodalProfile, ZeroRecord, classify_zero, find_zeros,
                     nodal_profile)
 from .nonlinear import (AsymptoticF, AutonomousProblem, PerturbationG,
-                        PerturbedProblem, check_asymptotics, check_small_o,
-                        fp_residual, newton, residual)
+                        PerturbedProblem, check_asymptotics, fp_residual,
+                        newton)
 from .render import render_diagram
 from .shooting import (boundary_determinant, shoot_eigenvalue,
                        shoot_nodal_solution)

@@ -1,5 +1,5 @@
-"""Verification harnesses: degree parity, Sturm comparison, zero divergence,
-and the constant-coefficient zero-spacing fact.
+"""Verification harnesses: degree parity, Sturm comparison, and the
+constant-coefficient zero-spacing fact.
 
 Degree parity: the Leray-Schauder degree surrogate det_sign_psi must equal
 (-1)^c where c counts pencil eigenvalues strictly between 0 and mu.  The
@@ -96,30 +96,6 @@ def sturm_check(b1, b2, u1, u2, residual_tol=1e-6):
     c1 = len(find_zeros(u1))
     c2 = len(find_zeros(u2))
     return {"count1": c1, "count2": c2, "pass": c2 >= c1 + 1}
-
-
-def divergence_check(m, side, j_max):
-    """Zero counts of the eigenfunctions with growing eigenvalue magnitude.
-
-    Realizes the divergence statement with constant factors: the pair of
-    index j solves u'''' = (mu_j m) u, and the zero counts along the
-    magnitude-ordered sequence must grow without bound over the computed
-    range.  Returns the counts and a strictly-increasing overall verdict.
-    """
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    mv = m.interior
-    if side == "+" and not np.any(mv > 0):
-        raise NotInWeightClass("positive side requested but weight has no positive part")
-    if side == "-" and not np.any(mv < 0):
-        raise NotInWeightClass("negative side requested but weight has no negative part")
-    result = eigen_pencil(m, j_max if side == "+" else 0,
-                          j_max if side == "-" else 0)
-    pairs = result.positive if side == "+" else result.negative
-    counts = [len(find_zeros(p.phi)) for p in pairs]
-    increasing = all(b > a for a, b in zip(counts, counts[1:]))
-    return {"counts": counts, "increasing": increasing,
-            "mus": [p.mu for p in pairs]}
 
 
 def spacing_check(j_max=8, n=2000, tol=1e-3):

@@ -97,9 +97,6 @@ class Branch:
     termination: str
     flags: tuple = field(default=())
 
-    def enorms(self):
-        return [p.norm.value for p in self.points]
-
 
 def _point_tol(u0, scale):
     """Branch-point tolerance for a correction started at u0."""

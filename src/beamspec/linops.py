@@ -64,11 +64,6 @@ class SecondDiffOperator:
         d, e = _ldl(self.grid.n_interior, self.grid.h)
         return dpttrs(d, e, rhs)[0]
 
-    def eigenvalue(self, k):
-        """k-th exact eigenvalue (2/h^2)(1 - cos(k pi h))."""
-        h = self.grid.h
-        return 2.0 * (1.0 - np.cos(k * np.pi * h)) / h**2
-
 
 def lambda_solve(e):
     """Unique solution u of -u'' = e with u(0) = u(1) = 0.

@@ -1,4 +1,4 @@
-"""Problem specifications, hypothesis checks, residuals, and the corrector.
+"""Problem specifications, hypothesis checks, the residual, and the corrector.
 
 Two problem kinds share one interface:
 
@@ -8,18 +8,12 @@ Two problem kinds share one interface:
 Both expose the right-hand side F(u, mu) and its u-slope at interior
 nodes; every solver below is written against that interface.
 
-Residuals come in two forms with the same zero set:
-
-  * residual()     - strong (collocation) form  K u - F(u, mu).
-    Evaluating the fourth difference of float64 samples amplifies the
-    value-representation noise by about 16/h^4, so at n = 2000 this form
-    has an irreducible absolute floor near 1e-2 per unit amplitude.  It
-    is the right object for O(h^2)-level checks at moderate n.
-  * fp_residual()  - fixed-point form  u - Lam2(F(u, mu)), two
-    backward-stable tridiagonal solves.  Its floor is a small multiple of
-    machine epsilon times the amplitude at any n, so tolerances of 1e-8
-    and below are meaningful on fine grids.  Correctors converge on this
-    form.
+The residual is the fixed-point form u - Lam2(F(u, mu)): two
+backward-stable tridiagonal solves on the grid's cached factor of A.  Its
+float floor is a small multiple of machine epsilon times the amplitude at
+any n, so tolerances of 1e-8 and below are meaningful on fine grids.  The
+corrector evaluates it on interior arrays (_fp); fp_residual wraps it as a
+SampledFn for callers outside this module.
 
 The Newton corrector iterates on the equivalent mixed second-order
 system in (u, w), w = -u'':
@@ -40,10 +34,7 @@ import numpy as np
 from .errors import (AsymptoticMismatch, BoundaryViolation, NoConvergence,
                      SingularJacobian)
 from .grid import SampledFn, e_norm, from_interior
-from .linops import EPS, SecondDiffOperator, _MixedLU, lambda2
-
-SMALL_O_T_POINTS = 101
-SMALL_O_MU_POINTS = 7
+from .linops import EPS, SecondDiffOperator, _MixedLU
 
 
 @dataclass(frozen=True)
@@ -145,24 +136,20 @@ def check_boundary(u):
             f"exceed 1e-10 * e_norm = {tol:.3e}")
 
 
-def residual(u, mu, spec):
-    """Strong-form residual (K u - F)(u, mu) at interior nodes.
-
-    Returns (max_norm, residual SampledFn).  See the module docstring for
-    the float noise floor of this form on fine grids.
-    """
-    check_boundary(u)
+def _fp(u_int, mu, spec):
+    """Fixed-point residual u - Lam2(F(u, mu)) on interior arrays."""
     a = SecondDiffOperator(spec.grid)
-    vec = a.apply(a.apply(u.interior)) - spec.source(u.interior, mu)
-    r = from_interior(spec.grid, vec)
-    return float(np.max(np.abs(vec))), r
+    return u_int - a.solve(a.solve(spec.source(u_int, mu)))
 
 
 def fp_residual(u, mu, spec):
-    """Fixed-point residual u - Lam2(F(u, mu)); (max_norm, SampledFn)."""
-    src = from_interior(spec.grid, spec.source(u.interior, mu))
-    r = u - lambda2(src)
-    return float(np.max(np.abs(r.values))), r
+    """Fixed-point residual u - Lam2(F(u, mu)); (max_norm, SampledFn).
+
+    The endpoint values of the residual are those of u.
+    """
+    vals = u.values.copy()
+    vals[1:-1] = _fp(u.interior, mu, spec)
+    return float(np.max(np.abs(vals))), SampledFn(u.grid, vals)
 
 
 def _bordered_solve(lu, a, fu, fmu, r1, r2, row_u, row_mu, rc):
@@ -195,6 +182,7 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     a step is accepted when it reduces the merit, the fixed-point residual
     plus the border residual (Armijo halving with floor 2^-16).  Converges
     when both residuals drop below tol, default 1e-10 * (1 + e_norm(u0)).
+    An iterate whose residual is not finite raises NoConvergence.
     Without a border, a reciprocal condition estimate below machine
     epsilon raises SingularJacobian: mu sits at a bifurcation point.
 
@@ -215,15 +203,15 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     mu0 = mu
 
     def residuals(u, mu):
-        # a huge iterate may overflow to inf or nan, which SampledFn
-        # refuses; that refusal is the outcome, so numpy need not warn
+        # a huge iterate may overflow to inf or nan; refusing it is the
+        # outcome, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
+            merit = float(np.max(np.abs(_fp(u, mu, spec))))
             rc = (0.0 if border is None
                   else border[0] @ (u - u0.interior) + border[1] * (mu - mu0))
-            try:
-                return fp_residual(from_interior(spec.grid, u), mu, spec)[0], rc
-            except ValueError:  # SampledFn refuses a non-finite u or source
-                raise NoConvergence("non-finite iterate or residual") from None
+        if not (np.isfinite(merit) and np.isfinite(rc)):
+            raise NoConvergence("non-finite iterate or residual")
+        return merit, rc
 
     history = []
     for iteration in range(max_iter + 1):
@@ -266,30 +254,6 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     raise NoConvergence(
         f"newton stalled at residual {history[-1]:.3e} "
         f"(tol {tol:.3e}) after {max_iter} iterations")
-
-
-def check_small_o(g, mu_box):
-    """Sampled check that g(t, s, mu) = o(|s|) near s = 0, uniformly.
-
-    Evaluates r(s) = max over the t samples in [0, 1] and the mu samples
-    in mu_box of |g|/|s| at |s| = 1e-1 .. 1e-6; passes when r decreases
-    monotonically and r(1e-6) < 1e-3 r(1e-1) + 1e-12.
-    """
-    t = np.linspace(0.0, 1.0, SMALL_O_T_POINTS)
-    mus = np.linspace(mu_box[0], mu_box[1], SMALL_O_MU_POINTS)
-    mags = [10.0**-j for j in range(1, 7)]
-    table = []
-    for s_abs in mags:
-        r = 0.0
-        for s in (s_abs, -s_abs):
-            for mu in mus:
-                r = max(r, float(np.max(np.abs(g.evaluate(t, s, mu)))) / s_abs)
-        table.append({"s": s_abs, "r": r})
-    rs = [row["r"] for row in table]
-    monotone = all(rs[i + 1] <= rs[i] * (1.0 + 1e-12) for i in range(len(rs) - 1))
-    vanishes = rs[-1] < 1e-3 * rs[0] + 1e-12
-    return {"table": table, "monotone": monotone, "vanishes": vanishes,
-            "passed": monotone and vanishes}
 
 
 def check_asymptotics(f, rtol=1e-3):

@@ -54,24 +54,6 @@ def zero_perturbation():
         name="zero")
 
 
-def manufactured_perturbation(weight_fn):
-    """g chosen so that u*(t) = sin(pi t) solves the perturbed problem
-    for every mu: g(t, s, mu) = pi^4 sin(pi t) - mu m(t) s.
-
-    Violates g(t, 0, mu) = 0 by design; it exists to exercise residual
-    and Newton machinery, not branch tracing.
-    """
-    def ev(t, s, mu):
-        t = np.asarray(t, dtype=float)
-        return np.pi**4 * np.sin(np.pi * t) - mu * weight_fn(t) * np.asarray(s, dtype=float)
-
-    def pd(t, s, mu):
-        t = np.asarray(t, dtype=float)
-        return -mu * weight_fn(t) * np.ones_like(_as_s(t, s))
-
-    return PerturbationG(evaluate=ev, partial=pd, name="manufactured")
-
-
 def linear_f():
     """f(s) = s with slopes (1, 1)."""
     # 1.0 * s is s itself as a new float or array, -0.0 included

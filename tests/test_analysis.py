@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from beamspec.analysis import (degree_parity_sweep, divergence_check,
-                               spacing_check, sturm_check)
-from beamspec.errors import HypothesisViolated, NotInWeightClass
+from beamspec.analysis import degree_parity_sweep, spacing_check, sturm_check
+from beamspec.errors import HypothesisViolated
 from beamspec.grid import make_grid, sample
 
 
@@ -82,26 +81,6 @@ def test_sturm_rejects_non_solution(spectrum_one800, one800):
     # corrupted pair: u2 replaced by u1, which does not solve equation 2
     with pytest.raises(HypothesisViolated):
         sturm_check(p1.mu * one800, p2.mu * one800, p1.phi, p1.phi)
-
-
-def test_divergence_constant_weight(one800):
-    rep = divergence_check(one800, "+", 6)
-    assert rep["counts"] == [0, 1, 2, 3, 4, 5]
-    assert rep["increasing"]
-
-
-def test_divergence_no_negative_part(one800):
-    with pytest.raises(NotInWeightClass):
-        divergence_check(one800, "-", 3)
-
-
-def test_divergence_sign_changing(sin3pi800):
-    # the negative side of this weight populates nodal classes sparsely;
-    # the divergence statement (counts grow without bound) is what holds
-    rep = divergence_check(sin3pi800, "-", 4)
-    assert rep["increasing"]
-    assert rep["counts"][0] == 0
-    assert rep["counts"][-1] >= 3
 
 
 def test_spacing_small_cases():

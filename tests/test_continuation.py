@@ -89,7 +89,7 @@ def test_trace_linear_branch_is_vertical(setup):
     drift = max(abs(p.mu - start.mu) for p in branch.points)
     assert drift <= 1e-6
     # norm grows monotonically along the vertical branch
-    norms = branch.enorms()
+    norms = [p.norm.value for p in branch.points]
     assert all(b > a for a, b in zip(norms, norms[1:]))
 
 

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from beamspec import nonlinear
 from beamspec.errors import (AsymptoticMismatch, BoundaryViolation,
                              SingularJacobian)
 from beamspec.grid import SampledFn, make_grid, sample
-from beamspec.nonlinear import (AsymptoticF, AutonomousProblem, PerturbationG,
+from beamspec.nonlinear import (AsymptoticF, AutonomousProblem,
                                 PerturbedProblem, check_asymptotics,
-                                check_small_o, fp_residual, newton, residual)
+                                fp_residual, newton)
 from beamspec.presets import (atan_shift_f, cubic_perturbation, linear_f,
-                              manufactured_perturbation, saturating_f,
-                              zero_perturbation)
+                              saturating_f, zero_perturbation)
+from strong_form import manufactured_perturbation, residual
 
 
 def _one(n):
@@ -80,34 +81,6 @@ def test_strong_vs_fixed_point_zero_set():
     fp, _ = fp_residual(u, 7.0, spec)
     assert fp <= 1e-11
     assert strong <= 1e-4  # float floor of the fourth-difference evaluation
-
-
-def test_small_o_cubic_passes():
-    rep = check_small_o(cubic_perturbation(), (0.0, 10.0))
-    assert rep["passed"]
-    assert rep["table"][0]["r"] == pytest.approx(1e-2, rel=1e-9)
-
-
-def test_small_o_linear_fails():
-    g = PerturbationG(evaluate=lambda t, s, mu: np.broadcast_arrays(
-        np.asarray(t, float), np.asarray(s, float))[1])
-    rep = check_small_o(g, (0.0, 10.0))
-    assert not rep["passed"]
-
-
-def test_small_o_asymptotic_reduction_passes():
-    # the slope-splitting term of the nodal-solution argument
-    f = saturating_f()
-
-    def ev(t, s, mu):
-        t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
-        out = np.zeros_like(s)
-        nz = s != 0
-        out[nz] = mu * s[nz] * (f.f(s[nz]) / s[nz] - f.f0)
-        return out
-
-    rep = check_small_o(PerturbationG(evaluate=ev), (0.0, 10.0))
-    assert rep["passed"]
 
 
 def test_check_asymptotics_linear():
@@ -184,6 +157,38 @@ def test_newton_manufactured_convergence():
     hist = info["history"]
     for r_prev, r_next in zip(hist[-3:-1], hist[-2:]):
         assert r_next <= 1e4 * r_prev**2 + 1e-14
+
+
+def test_newton_builds_no_sampled_fn_per_residual(monkeypatch):
+    # the corrector evaluates its residual on interior arrays; SampledFns
+    # are built only at the boundary (the start's E-norm and the result)
+    g, one = _one(400)
+    spec = PerturbedProblem(m=one, g=cubic_perturbation())
+    built, evaluated = [], []
+    post_init, fp = SampledFn.__post_init__, nonlinear._fp
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counting_fp(*args):
+        evaluated.append(1)
+        return fp(*args)
+
+    runs = []
+    for amp in (2.0, 5.0):
+        u0 = sample(lambda t: amp * np.sin(np.pi * t), g)
+        with monkeypatch.context() as mp:
+            mp.setattr(SampledFn, "__post_init__", counting_post_init)
+            mp.setattr(nonlinear, "_fp", counting_fp)
+            built.clear()
+            evaluated.clear()
+            _, info = newton(u0, 50.0, spec, return_info=True)
+        runs.append((info["iterations"], len(evaluated), len(built)))
+    (it_a, ev_a, built_a), (it_b, ev_b, built_b) = runs
+    assert min(it_a, it_b) >= 3
+    assert ev_a != ev_b
+    assert built_a == built_b
 
 
 def test_newton_singular_at_eigenvalue():
