@@ -232,7 +232,7 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
         lu = _MixedLU(spec.grid, fu)
         if border is None:
             rcond = lu.rcond()
-            if rcond < EPS:
+            if not rcond >= EPS:
                 raise SingularJacobian(f"reciprocal condition {rcond:.1e}; "
                                        "parameter sits at a bifurcation point")
             du, dw = lu.solve(-r1, -r2)

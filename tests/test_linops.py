@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgbcon
+from scipy.linalg.lapack import dgbcon, dgbtrs
 
 from beamspec import linops
-from beamspec.analysis import parity_samples
-from beamspec.errors import OnEigenvalue
+from beamspec.analysis import degree_parity_sweep, parity_samples
+from beamspec.errors import OnEigenvalue, SingularJacobian, ValidationError
 from beamspec.grid import SampledFn, from_interior, make_grid, sample
-from beamspec.linops import (EPS, SecondDiffOperator, _MixedLU, det_sign_psi,
-                             lambda2, lambda_solve)
+from beamspec.linops import (EPS, SecondDiffOperator, _MixedLU, _swap_fields,
+                             det_sign_psi, lambda2, lambda_solve)
 from beamspec.nonlinear import PerturbedProblem, fp_residual, newton
 from beamspec.presets import WEIGHTS
 from beamspec.spectrum import widest_resolvable_window
@@ -253,3 +253,79 @@ def test_rcond_matches_lapack_estimate(name):
         assert (got < EPS) == (ref < EPS), mu
         assert 0.5 * ref <= got <= 2.0 * ref, mu
         assert lu.rcond() == got
+
+
+def test_det_sign_refuses_non_finite_shift():
+    # nan < EPS is False, so a non-finite shift once slipped past the guard
+    # and came back with a sign
+    m = sample(WEIGHTS["sin3pi"], make_grid(48))
+    for mu in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            det_sign_psi(mu, m)
+    with pytest.raises(ValidationError):
+        degree_parity_sweep(m, [np.nan, 10.0])
+
+
+def test_nan_condition_estimate_is_refused(monkeypatch):
+    # both guards read "not rcond >= EPS", so a NaN estimate is singular
+    monkeypatch.setattr(_MixedLU, "rcond", lambda self: np.nan)
+    g = make_grid(48)
+    one = sample(lambda t: np.ones_like(t), g)
+    with pytest.raises(OnEigenvalue):
+        det_sign_psi(10.0, one)
+    spec = PerturbedProblem(m=one, g=manufactured_perturbation(np.ones_like))
+    with pytest.raises(SingularJacobian):
+        newton(sample(lambda t: np.sin(np.pi * t), g), 7.0, spec)
+
+
+def _dense_mixed(g, fu):
+    """The interleaved matrix B of _MixedLU, built densely from its blocks."""
+    n = g.n_interior
+    a = SecondDiffOperator(g).apply(np.eye(n))
+    b = np.zeros((2 * n, 2 * n))
+    b[0::2, 0::2] = b[1::2, 1::2] = a
+    b[0::2, 1::2] = -np.eye(n)
+    b[1::2, 0::2] = -np.diag(fu)
+    return b
+
+
+def _seeded_shifts(rng, count):
+    """count shifts of each sign, log-uniform in magnitude over [10, 1e5]."""
+    x = 10.0 ** rng.uniform(1.0, 5.0, count)
+    return np.concatenate([-x, x])
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_swapped_solve_is_a_transposed_solve(name):
+    # B^T = Q B Q with Q exchanging u_i and w_i, so Q B^-1 Q b solves
+    # B^T x = b as backward-stably as LAPACK's own transposed solve
+    g = make_grid(300)
+    m = sample(WEIGHTS[name], g)
+    rng = np.random.default_rng(19)
+    for mu in _seeded_shifts(rng, 5):
+        lu = _MixedLU(g, mu * m.interior)
+        bt = _dense_mixed(g, mu * m.interior).T
+        rhs = rng.standard_normal(bt.shape[0])
+        swapped = _swap_fields(dgbtrs(lu.lu, 2, 2, _swap_fields(rhs), lu.piv)[0])
+        lapack = dgbtrs(lu.lu, 2, 2, rhs, lu.piv, trans=1)[0]
+        for x in (swapped, lapack):
+            eta = (np.linalg.norm(rhs - bt @ x, np.inf)
+                   / (np.linalg.norm(bt, np.inf) * np.linalg.norm(x, np.inf)
+                      + np.linalg.norm(rhs, np.inf)))
+            assert eta <= 16 * EPS, mu
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_rcond_never_below_exact(n):
+    # the estimate of ||B^-1||_1 is a lower bound, so rcond is an upper
+    # bound on the exact reciprocal condition 1 / (||B||_1 ||B^-1||_1)
+    g = make_grid(n)
+    rng = np.random.default_rng(23)
+    for name in sorted(WEIGHTS):
+        m = sample(WEIGHTS[name], g)
+        for mu in _seeded_shifts(rng, 10):
+            b = _dense_mixed(g, mu * m.interior)
+            lu = _MixedLU(g, mu * m.interior)
+            assert lu.anorm == pytest.approx(np.linalg.norm(b, 1), rel=1e-14)
+            exact = 1.0 / (lu.anorm * np.linalg.norm(np.linalg.inv(b), 1))
+            assert lu.rcond() >= exact * (1.0 - 1e-9), (name, mu)
