@@ -42,8 +42,16 @@ BLOCK times shorter.  On coarse steps or at huge |mu| the block is halved,
 down to one step, until that exponent is at most 1.
 
 Roots of d are found by Brent's method (Brent, Algorithms for Minimization
-without Derivatives, 1973, ch. 4) on a sign-changing bracket.
+without Derivatives, 1973, ch. 4; Dekker 1969) on a sign-changing bracket.
+The first step is a bisection: callers centre the bracket on an estimate
+of the root, so that step evaluates the estimate; interpolation follows.
+Once the sign-change bracket is within the stopping width, the oracle
+returns the secant root of its two ends rather than an end, so the result
+is its own and never the bracket's centre handed back.  A determinant that
+overflows to a non-finite value stops the search.
 """
+
+import math
 
 import numpy as np
 
@@ -152,19 +160,37 @@ def _boundary_determinant(mu, steps):
     return c[0, 1, 4]
 
 
+def _finite_determinant(mu, steps):
+    """d(mu); NoConvergence if mu m overflows the RK4 step products."""
+    with np.errstate(all="ignore"):
+        d = float(_boundary_determinant(mu, steps))
+    if not math.isfinite(d):
+        raise NoConvergence(f"boundary determinant at mu = {mu!r} is {d}, not finite")
+    return d
+
+
 def boundary_determinant(mu, m, n_steps=DEFAULT_STEPS):
     """d(mu) for the callable weight m, up to a positive factor."""
-    steps = _linear_steps(_weight_on_half_grid(m, n_steps))
-    return float(_boundary_determinant(float(mu), steps))
+    mu = float(mu)
+    if not math.isfinite(mu):
+        raise ValidationError(f"mu={mu} is not finite")
+    return _finite_determinant(mu, _linear_steps(_weight_on_half_grid(m, n_steps)))
 
 
 def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
     """Eigenvalue of u'''' = mu m u inside the bracket, by RK4 shooting.
 
     The bracket endpoints must give opposite signs of the boundary
-    determinant.  Brent's method shrinks the sign-change bracket [lo, hi]
-    until it is no wider than rtol * (1 + (|lo| + |hi|) / 2) and returns
-    the endpoint where |d| is smaller.
+    determinant.  Brent's method shrinks the sign-change bracket [b, c]
+    until it is no wider than rtol * (1 + (|b| + |c|) / 2) and returns its
+    secant root b - d(b) (c - b) / (d(c) - d(b)).  The first step after
+    the endpoints is a bisection, so a bracket centred on an estimate of
+    the root evaluates that estimate third.  When the estimate lies within
+    half the stopping width of the root, the interpolation step from it is
+    normally shorter than that half-width, so the step taken is the half-width
+    itself: it crosses the root, closes the bracket, and the shoot ends
+    after 4 determinants.  A determinant that is not finite, at an endpoint
+    or inside, raises NoConvergence.
     """
     lo, hi = float(mu_bracket[0]), float(mu_bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -172,8 +198,8 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
     if not (np.isfinite(rtol) and rtol > 0.0):
         raise ValidationError(f"rtol must be positive and finite, got {rtol}")
     steps = _linear_steps(_weight_on_half_grid(m, n_steps))
-    dlo = _boundary_determinant(lo, steps)
-    dhi = _boundary_determinant(hi, steps)
+    dlo = _finite_determinant(lo, steps)
+    dhi = _finite_determinant(hi, steps)
     if dlo == 0.0:
         return lo
     if dhi == 0.0:
@@ -183,10 +209,10 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
             f"d({lo}) = {dlo:.3e} and d({hi}) = {dhi:.3e} have the same sign")
     # b is the latest iterate, c the last point where d has the other sign
     # and a the previous b; an interpolation step must be shorter than half
-    # the step before last, e
+    # the step before last, e; e = 0 makes the first step a bisection
     a, da, b, db = lo, dlo, hi, dhi
     c, dc = a, da
-    e = step = b - a
+    e = step = 0.0
     while True:
         if abs(dc) < abs(db):
             a, da, b, db, c, dc = b, db, c, dc, b, db
@@ -194,7 +220,7 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
         tol = max(0.25 * rtol * (2.0 + abs(b) + abs(c)), 2.0 * _EPS * abs(b))
         half = 0.5 * (c - b)
         if abs(half) <= tol or db == 0.0:
-            return float(b)
+            return float(b - db * (c - b) / (dc - db))
         if abs(e) >= tol and abs(da) > abs(db):
             s = db / da
             if a == c:  # secant
@@ -213,8 +239,8 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
         else:
             e = step = half
         a, da = b, db
-        b += step if abs(step) > tol else np.copysign(tol, half)
-        db = _boundary_determinant(b, steps)
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        db = _finite_determinant(b, steps)
         if (db > 0.0) == (dc > 0.0):
             c, dc = a, da
             e = step = b - a

@@ -76,7 +76,10 @@ def check_nodal_counts(spectra):
 
 
 def _shoot_brackets(extrapolated):
-    """Isolation bracket for each extrapolated eigenvalue of one sign."""
+    """Isolation bracket for each extrapolated eigenvalue of one sign.
+
+    Each bracket is centred on its extrapolated value, so the oracle's
+    opening bisection evaluates that value first after the endpoints."""
     out = []
     for i, mu in enumerate(extrapolated):
         width = 0.05 * abs(mu)

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from scipy.linalg import eigh
 
 import beamspec
 from beamspec import shooting, spectrum
-from beamspec.errors import NodalMismatch, NoSignChange, NotInWeightClass, ValidationError
+from beamspec.errors import (NoConvergence, NodalMismatch, NoSignChange, NotInWeightClass,
+                             ValidationError)
 from beamspec.grid import make_grid, sample
 from beamspec.presets import WEIGHTS, weight
 from beamspec.shooting import boundary_determinant, shoot_eigenvalue
@@ -254,13 +257,71 @@ def test_eigen_shoot_bisects_a_badly_scaled_bracket(monkeypatch):
     lambda m: shoot_eigenvalue(m, (90.0, 110.0), n_steps=-3),
     lambda m: boundary_determinant(100.0, m, n_steps=0),
     lambda m: shoot_eigenvalue(lambda t: np.where(t > 0.5, np.nan, m(t)), (90.0, 110.0)),
+    lambda m: boundary_determinant(np.nan, m),
+    lambda m: boundary_determinant(np.inf, m),
+    lambda m: boundary_determinant(-np.inf, m),
 ], ids=["nan-bracket", "inf-bracket", "rtol-zero", "rtol-negative", "rtol-nan",
-        "steps-zero", "steps-negative", "determinant-steps-zero", "nan-weight"])
+        "steps-zero", "steps-negative", "determinant-steps-zero", "nan-weight",
+        "determinant-mu-nan", "determinant-mu-inf", "determinant-mu-minus-inf"])
 def test_shooting_rejects_bad_input_before_any_determinant(monkeypatch, call):
     evaluated = _count_determinants(monkeypatch)
     with pytest.raises(ValidationError):
         call(WEIGHTS["one"])
     assert evaluated == []
+
+
+@pytest.mark.parametrize("call, mu", [
+    (lambda: shoot_eigenvalue(WEIGHTS["one"], (1e299, 1e300)), 1e299),
+    (lambda: shoot_eigenvalue(WEIGHTS["one"], (1e250, 1e251)), 1e250),
+    (lambda: shoot_eigenvalue(lambda t: np.full_like(t, 1e305), (90.0, 110.0)), 90.0),
+    (lambda: boundary_determinant(1e300, WEIGHTS["one"]), 1e300),
+], ids=["bracket-1e300", "bracket-1e251", "weight-1e305", "determinant-1e300"])
+def test_an_overflowing_determinant_is_no_root(monkeypatch, call, mu):
+    # mu m overflows the step products and d comes out nan, which fails
+    # every sign test, so a search that went on would bisect to a fake root
+    evaluated = _count_determinants(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match=re.escape(f"mu = {mu!r} ")):
+            call()
+    assert len(evaluated) == 1
+
+
+def test_a_non_finite_determinant_inside_the_bracket_stops_the_shoot(monkeypatch):
+    inner = shooting._boundary_determinant
+    evaluated = []
+
+    def nan_third(mu, steps):
+        evaluated.append(mu)
+        return np.nan if len(evaluated) == 3 else inner(mu, steps)
+
+    monkeypatch.setattr(shooting, "_boundary_determinant", nan_third)
+    # the third determinant is the opening bisection's midpoint
+    with pytest.raises(NoConvergence, match="mu = 100.0 "):
+        shoot_eigenvalue(WEIGHTS["one"], (90.0, 110.0))
+    assert evaluated == [90.0, 110.0, 100.0]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_centred_bracket_costs_four_determinants(monkeypatch, k):
+    # the opening bisection evaluates the centre, the root (k pi)^4 up to the
+    # RK4 error; one more step crosses it and closes the bracket
+    root = (k * np.pi) ** 4
+    evaluated = _count_determinants(monkeypatch)
+    mu = shoot_eigenvalue(WEIGHTS["one"], (root * 0.95, root * 1.05))
+    assert len(evaluated) == 4
+    assert evaluated[2][0] == pytest.approx(root, rel=1e-15)
+    assert abs(mu / root - 1.0) <= 1e-12
+
+
+def test_the_oracle_never_echoes_its_centre():
+    # the centre lies 2e-11 off the root, inside the stopping width, so the
+    # bracket closes on it; the secant root of the last bracket is the
+    # oracle's own value, not the centre
+    centre = np.pi ** 4 * (1.0 + 2e-11)
+    root = shoot_eigenvalue(WEIGHTS["one"], (0.95 * centre, 1.05 * centre))
+    assert root != centre
+    assert abs(root / np.pi ** 4 - 1.0) <= 1e-14
 
 
 def _rk4_on_the_identity(mu, m_half):
