@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .continuation import (ContinuationConfig, _spectrum_for, bifurcation_start,
-                           save_branch, solve_nodal, trace_branch)
+from .continuation import (TERM_STEP_FAILURE, ContinuationConfig, _spectrum_for,
+                           bifurcation_start, save_branch, solve_nodal, trace_branch)
 from .errors import NumericalError, ValidationError
 from .grid import from_csv, make_grid, sample, to_csv
 from .nonlinear import PerturbedProblem, check_asymptotics
@@ -168,7 +168,7 @@ def _cmd_branch(args):
         name = f"branch_k{args.k}_{'p' if nu > 0 else 'n'}_{'p' if sigma > 0 else 'n'}"
         save_branch(br, args.out, basename=name)
         print(f"{name}: {len(br.points)} points, termination {br.termination}")
-        failed = failed or br.termination == "StepFailure"
+        failed = failed or br.termination == TERM_STEP_FAILURE
     with open(os.path.join(args.out, "diagram.svg"), "w") as fh:
         fh.write(render_diagram(branches))
     return 3 if failed else 0

@@ -174,7 +174,8 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     Secant tangent predictor, bordered Newton corrector on the hyperplane
     through the predictor normal to the tangent; after each accepted step
     the nodal profile is recomputed and a profile outside S_k^sigma
-    rejects the step and halves ds.  Terminates at the norm budget, the
+    rejects the step and halves ds; ds never exceeds the norm budget, which
+    one step that long already leaves.  Terminates at the norm budget, the
     step budget, persistent step failure, or when mu crosses stop_at_mu.
     """
     if config is None:
@@ -192,7 +193,8 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     du = start.u.interior
     dmu = (start.mu - start.origin_mu) / mu_scale
     step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
-    ds = config.ds
+    ds_max = min(config.ds_max, config.norm_budget)
+    ds = min(config.ds, ds_max)
 
     while len(points) - 1 < config.max_steps:
         cur = points[-1]
@@ -247,8 +249,8 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
         if norm.value >= config.norm_budget:
             termination = TERM_NORM_BUDGET
             break
-        if ds < config.ds_max:
-            ds = min(ds * GROW_FACTOR, config.ds_max)
+        if ds < ds_max:
+            ds = min(ds * GROW_FACTOR, ds_max)
 
     return Branch(k=k, nu=nu, sigma=sigma, origin_mu=start.origin_mu,
                   points=tuple(points), termination=termination,

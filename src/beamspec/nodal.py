@@ -9,6 +9,11 @@ holds the functions with exactly k - 1 interior zeros, all simple, and
 sign sigma just right of t = 0; NodalProfile.class_defect is the one test
 of membership and names the condition a non-member fails, for the pencil,
 the branch tracer and the battery alike (in_class is its yes/no form).
+
+Each zero's kind, crossing or touch, is decided once: by the zero scan
+behind find_zeros, where it finds the candidate.  Candidates within half
+a grid spacing merge into one zero at the first location, a touch when
+any of them is one; nodal_profile reads the kinds.
 """
 
 import math
@@ -137,20 +142,9 @@ def _scale(u, fields):
     return sum(float(np.max(np.abs(f.values))) for f in (u,) + fields)
 
 
-def find_zeros(u, _fields=None):
-    """Locations of interior zeros of u.
-
-    Whole-grid masks pick the candidates, and only candidates get scalar
-    work: each sign change of consecutive interior samples is refined by
-    local quadratic interpolation, and each near-zero node (|u| below
-    TOUCH_TOL * max|u|, a flank above NOISE_TOL * max|u|) is a crossing
-    that hit the node or, between same-sign neighbours, a touch-zero.
-    Endpoint zeros are excluded (zeros are counted in the open interval).
-    Returns sorted locations, deduplicated to half a grid spacing.
-    """
-    if _fields is None:
-        _fields = _derivative_fields(u)
-    if _scale(u, _fields) <= TRIVIAL_TOL:
+def _scan(u, fields):
+    """Interior zeros of u as sorted (t, touch) pairs; see find_zeros."""
+    if _scale(u, fields) <= TRIVIAL_TOL:
         raise TrivialFunction("zero search needs a nontrivial function")
     v = u.values
     t = u.grid.nodes
@@ -169,7 +163,7 @@ def find_zeros(u, _fields=None):
             root = _quadratic_root(t[j:j + 3], v[j:j + 3], t[j], t[j + 1])
         if root is None:
             root = t[j] - v[j] * (t[j + 1] - t[j]) / (v[j + 1] - v[j])
-        zeros.append(root)
+        zeros.append((root, False))
 
     # near-zero nodes: crossings that hit a node, and touch candidates;
     # both need flanking samples above the float-noise floor, otherwise
@@ -177,7 +171,7 @@ def find_zeros(u, _fields=None):
     near = ((av[1:-1] < TOUCH_TOL * vmax)
             & (np.maximum(av[:-2], av[2:]) >= NOISE_TOL * vmax))
     flanks = v[:-2] * v[2:]
-    zeros.extend(t[np.flatnonzero(near & (flanks < 0.0)) + 1])
+    zeros.extend((z, False) for z in t[np.flatnonzero(near & (flanks < 0.0)) + 1])
     touch_nodes = (np.flatnonzero(near & (flanks > 0.0)) + 1).tolist()
 
     # a flat contact can put several consecutive nodes under the touch
@@ -185,7 +179,7 @@ def find_zeros(u, _fields=None):
     # third derivative crosses zero there and locates the contact far
     # more sharply than the flat |u| samples do; otherwise fall back to
     # the vertex of the parabola through the smallest sample.
-    d3 = _fields[2].values
+    d3 = fields[2].values
     cluster = []
     for j in touch_nodes + [None]:
         if cluster and (j is None or j - cluster[-1] > 2):
@@ -199,20 +193,37 @@ def find_zeros(u, _fields=None):
                 denom = v[jm - 1] - 2.0 * v[jm] + v[jm + 1]
                 shift = 0.5 * (v[jm - 1] - v[jm + 1]) / denom * h if denom != 0.0 else 0.0
                 root = t[jm] + float(np.clip(shift, -h, h))
-            zeros.append(root)
+            zeros.append((root, True))
             cluster = []
         if j is not None:
             cluster.append(j)
 
-    zeros.sort()
     merged = []
-    for z in zeros:
-        if not merged or z - merged[-1] > 0.5 * h:
-            merged.append(z)
+    for z, touch in sorted(zeros, key=lambda zero: zero[0]):
+        if merged and z - merged[-1][0] <= 0.5 * h:
+            merged[-1] = (merged[-1][0], merged[-1][1] or touch)
+        else:
+            merged.append((z, touch))
     return merged
 
 
-def classify_zero(u, t_star, _fields=None):
+def find_zeros(u):
+    """Locations of interior zeros of u.
+
+    Whole-grid masks pick the candidates, and only candidates get scalar
+    work: each sign change of consecutive interior samples is refined by
+    local quadratic interpolation, and each near-zero node (|u| below
+    TOUCH_TOL * max|u|, a flank above NOISE_TOL * max|u|) is a crossing
+    that hit the node or, between same-sign neighbours, a touch-zero;
+    that is where each zero's kind is decided.  Endpoint zeros are
+    excluded (zeros are counted in the open interval).  Returns sorted
+    locations, deduplicated to half a grid spacing: merged candidates keep
+    the first location and make a touch when any of them is one.
+    """
+    return [z for z, _ in _scan(u, _derivative_fields(u))]
+
+
+def classify_zero(u, t_star):
     """ZeroRecord for the zero of u at t_star.
 
     Derivative estimates come from the second-order stencils interpolated
@@ -226,17 +237,20 @@ def classify_zero(u, t_star, _fields=None):
     full size against the local one, while at a true double zero every
     derivative estimate is truncation-limited on both scales.
     """
+    return _classify(u, t_star, _derivative_fields(u))
+
+
+def _classify(u, t_star, fields):
+    """classify_zero on the derivative fields (u', u'', u''') of u."""
     if not (0.0 < t_star < 1.0):
         raise OutOfDomain(f"t_star={t_star} is not in (0, 1)")
-    if _fields is None:
-        _fields = _derivative_fields(u)
-    d1, d2, d3 = (_interp_linear(u.grid, f.values, t_star) for f in _fields)
-    globally_small = max(abs(d1), abs(d2), abs(d3)) < DOUBLE_TOL * _scale(u, _fields)
+    d1, d2, d3 = (_interp_linear(u.grid, f.values, t_star) for f in fields)
+    globally_small = max(abs(d1), abs(d2), abs(d3)) < DOUBLE_TOL * _scale(u, fields)
 
     window = _local_window(u.grid, t_star)
     locally_small = all(
         abs(d) < LOCAL_VETO * max(np.max(np.abs(f.values[window])), 1e-300)
-        for d, f in zip((d1, d2, d3), _fields))
+        for d, f in zip((d1, d2, d3), fields))
 
     kind = (GENERALIZED_DOUBLE if globally_small and locally_small
             else GENERALIZED_SIMPLE)
@@ -246,30 +260,23 @@ def classify_zero(u, t_star, _fields=None):
 def nodal_profile(u):
     """Zero count, per-zero classification, and sign near t = 0.
 
-    Touch-zeros (no sign change) count as zeros only when classified
-    double; a simple touch-zero is recorded as an anomaly instead, since a
-    nontrivial solution of the beam equation cannot have one.
+    Zeros and their kinds, crossing or touch, come from the zero scan.
+    A touch counts as a zero only when classified double; a simple
+    touch-zero is recorded as an anomaly instead, since a nontrivial
+    solution of the beam equation cannot have one.
     """
     fields = _derivative_fields(u)
-    if _scale(u, fields) <= TRIVIAL_TOL:
-        raise TrivialFunction("nodal profile needs a nontrivial function")
     v = u.values
     vmax = np.max(np.abs(v))
 
     records = []
     anomalies = []
-    h = u.grid.h
-    for z in find_zeros(u, _fields=fields):
-        j = int(round(z / h))
-        is_touch = (0 < j < len(v) - 1
-                    and abs(v[j]) < TOUCH_TOL * vmax
-                    and v[j - 1] * v[j + 1] > 0.0)
-        if is_touch:
-            if np.max(np.abs(v[_local_window(u.grid, z)])) < RESOLVED_TOL * vmax:
-                anomalies.append(f"unresolved near-zero region at t={z:.6g}")
-                continue
-        rec = classify_zero(u, z, _fields=fields)
-        if is_touch and rec.kind == GENERALIZED_SIMPLE:
+    for z, touch in _scan(u, fields):
+        if touch and np.max(np.abs(v[_local_window(u.grid, z)])) < RESOLVED_TOL * vmax:
+            anomalies.append(f"unresolved near-zero region at t={z:.6g}")
+            continue
+        rec = _classify(u, z, fields)
+        if touch and rec.kind == GENERALIZED_SIMPLE:
             anomalies.append(f"simple touch-zero at t={z:.6g}")
             continue
         records.append(rec)

@@ -60,6 +60,7 @@ from .grid import SampledFn
 
 DEFAULT_STEPS = 10000  # step 1e-4 over [0, 1]
 BLOCK = 32             # most RK4 steps per 4x4 block product; a power of two
+EIGEN_RTOL = 1e-10     # eigenvalue shoot's stopping width, relative to 1 + |mu|
 NODAL_MAX_ITER = 30    # Newton iterations of the nonlinear shoot
 NODAL_TOL = 1e-10      # terminal residual, relative to the initial slopes
 _EPS = np.finfo(float).eps
@@ -177,26 +178,24 @@ def boundary_determinant(mu, m, n_steps=DEFAULT_STEPS):
     return _finite_determinant(mu, _linear_steps(_weight_on_half_grid(m, n_steps)))
 
 
-def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
+def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS):
     """Eigenvalue of u'''' = mu m u inside the bracket, by RK4 shooting.
 
     The bracket endpoints must give opposite signs of the boundary
     determinant.  Brent's method shrinks the sign-change bracket [b, c]
-    until it is no wider than rtol * (1 + (|b| + |c|) / 2) and returns its
-    secant root b - d(b) (c - b) / (d(c) - d(b)).  The first step after
-    the endpoints is a bisection, so a bracket centred on an estimate of
-    the root evaluates that estimate third.  When the estimate lies within
-    half the stopping width of the root, the interpolation step from it is
-    normally shorter than that half-width, so the step taken is the half-width
-    itself: it crosses the root, closes the bracket, and the shoot ends
-    after 4 determinants.  A determinant that is not finite, at an endpoint
-    or inside, raises NoConvergence.
+    until it is no wider than EIGEN_RTOL * (1 + (|b| + |c|) / 2) and
+    returns its secant root b - d(b) (c - b) / (d(c) - d(b)).  The first
+    step after the endpoints is a bisection, so a bracket centred on an
+    estimate of the root evaluates that estimate third.  When the estimate
+    lies within half the stopping width of the root, the interpolation
+    step from it is normally shorter than that half-width, so the step
+    taken is the half-width itself: it crosses the root, closes the
+    bracket, and the shoot ends after 4 determinants.  A determinant that
+    is not finite, at an endpoint or inside, raises NoConvergence.
     """
     lo, hi = float(mu_bracket[0]), float(mu_bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError(f"bracket ({lo}, {hi}) is not finite")
-    if not (np.isfinite(rtol) and rtol > 0.0):
-        raise ValidationError(f"rtol must be positive and finite, got {rtol}")
     steps = _linear_steps(_weight_on_half_grid(m, n_steps))
     dlo = _finite_determinant(lo, steps)
     dhi = _finite_determinant(hi, steps)
@@ -217,7 +216,7 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS, rtol=1e-10):
         if abs(dc) < abs(db):
             a, da, b, db, c, dc = b, db, c, dc, b, db
         # half the stopping width, and never below the spacing of floats at b
-        tol = max(0.25 * rtol * (2.0 + abs(b) + abs(c)), 2.0 * _EPS * abs(b))
+        tol = max(0.25 * EIGEN_RTOL * (2.0 + abs(b) + abs(c)), 2.0 * _EPS * abs(b))
         half = 0.5 * (c - b)
         if abs(half) <= tol or db == 0.0:
             return float(b - db * (c - b) / (dc - db))

@@ -139,19 +139,6 @@ class SpectrumResult:
         }
 
 
-def _normalize(u_int, grid):
-    """E-norm 1 and positive immediately right of t = 0."""
-    phi = from_interior(grid, u_int)
-    phi = SampledFn(grid, phi.values / e_norm(phi).value)
-    vmax = np.max(np.abs(phi.values))
-    for v in phi.interior:
-        if abs(v) > 1e-13 * vmax:
-            if v < 0:
-                phi = -phi
-            break
-    return phi
-
-
 def _pencil(m, count_pos, count_neg):
     """One eigh of G; each side classified in magnitude order up to its count.
 
@@ -189,8 +176,11 @@ def _pencil(m, count_pos, count_neg):
         for rank in range(min(count, len(indices))):
             i = indices[rank]
             mu = 1.0 / vals[i]
-            phi = _normalize(a.solve(vecs[:, i]), grid)
+            phi = from_interior(grid, a.solve(vecs[:, i]))
+            phi = SampledFn(grid, phi.values / e_norm(phi).value)
             profile = nodal_profile(phi)
+            if profile.sigma < 0:
+                phi = -phi
             k = profile.count + 1
             defect = profile.class_defect(k)
             if defect is not None:

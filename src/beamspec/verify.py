@@ -10,8 +10,8 @@ import numpy as np
 
 from .analysis import (degree_parity_sweep, parity_samples, spacing_check,
                        sturm_check)
-from .continuation import (ContinuationConfig, bifurcation_start,
-                           solve_nodal, solve_nodal_range, trace_branch)
+from .continuation import (TERM_HYPERPLANE, TERM_NORM_BUDGET, ContinuationConfig,
+                           bifurcation_start, solve_nodal, solve_nodal_range, trace_branch)
 from .errors import GammaNotAdmissible, HypothesisViolated, ValidationError
 from .grid import derivative, e_norm, interior_dot, make_grid, sample
 from .nodal import nodal_profile
@@ -255,7 +255,7 @@ def check_branch_invariants(branches):
                 doubles += 1
             if not p.profile.in_class(b.k, b.sigma):
                 containment_ok = False
-        if b.termination not in ("NormBudget", "HyperplaneGoal"):
+        if b.termination not in (TERM_NORM_BUDGET, TERM_HYPERPLANE):
             containment_ok = False
     # unilateral distinctness on the sigma pairs (consecutive battery halves)
     distinct_ok = True

@@ -74,6 +74,55 @@ def test_solve_command_and_rejection(tmp_path):
     assert bad == 2
 
 
+def _atan_table(path):
+    # f(s) = 3 s - 2 atan s has slope 1 at zero and 3 at infinity; knots
+    # 5e-4 apart inside +-0.05 keep the chord slope the asymptotics check
+    # samples at s = +-1e-7 within its 1e-3 tolerance of f0 = 1
+    outer = 0.05 * np.arange(2, 201)
+    s = np.concatenate([-outer[::-1], np.linspace(-0.05, 0.05, 201), outer])
+    rows = "".join(f"{x:.17g},{3.0 * x - 2.0 * np.arctan(x):.17g}\n" for x in s)
+    path.write_text("s,f\n" + rows)
+    return s
+
+
+def test_table_f_interpolates_its_knots(tmp_path):
+    from beamspec.presets import table_f
+    s = _atan_table(tmp_path / "f.csv")
+    f = table_f(str(tmp_path / "f.csv"), 1.0, 3.0).f
+    exact = 3.0 * s - 2.0 * np.arctan(s)
+    assert np.array_equal(f(s), exact)
+    mid = 0.5 * (s[:-1] + s[1:])
+    np.testing.assert_allclose(f(mid), 0.5 * (exact[:-1] + exact[1:]), rtol=1e-13, atol=1e-16)
+    # beyond the table, straight on with the declared slope at infinity
+    assert f(s[-1] + 2.0) == pytest.approx(exact[-1] + 6.0, rel=1e-15)
+
+
+def test_solve_command_with_f_table(tmp_path):
+    _atan_table(tmp_path / "f.csv")
+    out = tmp_path / "sol"
+    code = run(["solve", "--n", "300", "--gamma", "70", "--f-table",
+                str(tmp_path / "f.csv"), "--f0", "1", "--finf", "3",
+                "--out", str(out)])
+    assert code == 0
+    assert os.path.exists(out / "solution_k1_p_p.csv")
+    _manifest_checks_out(out)
+
+
+def test_huge_first_step_is_capped_at_the_norm_budget(tmp_path, capsys, monkeypatch):
+    # a step as long as the norm budget already leaves it, so ds = 1e299
+    # starts at the budget instead of halving toward it one newton call
+    # at a time
+    from beamspec import continuation
+    newton, calls = continuation.newton, []
+    monkeypatch.setattr(continuation, "newton",
+                        lambda *a, **kw: calls.append(a) or newton(*a, **kw))
+    assert run(["branch", "--ds", "1e299", "--ds-max", "1e300", "--n", "300",
+                "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count("2 points, termination NormBudget") == 2
+    # one start polish and one step per half
+    assert len(calls) == 4
+
+
 def test_branch_command_deterministic_svg(tmp_path):
     args = ["branch", "--weight", "one", "--g", "cubic", "--k", "1",
             "--sigma", "both", "--n", "300", "--norm-budget", "20",
@@ -167,8 +216,8 @@ def _malformed_files(tmp_path):
     (["spectrum", "--kneg", "-2"], 2),
     # the working directory: a path that exists but is not a CSV file
     (["spectrum", "--weight", "."], 2),
-    # predictors and corrector iterates overflow until the halved step
-    # fits; the branches then cross the norm budget
+    # a first step far beyond the norm budget: ds is capped at the budget,
+    # and each branch leaves it in one step
     (["branch", "--ds", "1e299", "--ds-max", "1e300"], 0),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",

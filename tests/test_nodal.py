@@ -96,13 +96,42 @@ def test_profile_negated_sign():
     assert profile.sigma == -1
 
 
-def test_profile_sign_changing_weight(spectrum_sin3pi800):
-    # cross-check the classifier against raw sign-change counting
-    for pair in spectrum_sin3pi800.positive:
+@pytest.fixture(scope="module")
+def windows300():
+    g = make_grid(300)
+    return {name: widest_resolvable_window(sample(fn, g)) for name, fn in WEIGHTS.items()}
+
+
+def test_profile_sign_changing_weight(spectrum_sin3pi800, windows300):
+    # cross-check the classifier against raw sign-change counting, also on
+    # every pair the n = 300 windows certify: there the monotone endpoint
+    # tails of high-rank pairs fall below TOUCH_TOL, and a tail must never
+    # pass for an interior zero
+    pairs = list(spectrum_sin3pi800.positive)
+    for res in windows300.values():
+        pairs += res.positive + res.negative
+    for pair in pairs:
         profile = nodal_profile(pair.phi)
         sgn = np.sign(pair.phi.interior)
         raw = int(np.count_nonzero(sgn[:-1] * sgn[1:] < 0))
         assert profile.count == raw == pair.k - 1
+
+
+def test_touch_off_its_node_is_an_anomaly():
+    # u = s^2 (1 + c1 s + 400 s^2) t (1 - t), s = t - t_300, never changes
+    # sign: its one zero is a touch at node 300.  For c1 in about -6.5..1.2
+    # the third-derivative root places it h/2 or more off that node, and
+    # the zero must still count as a touch, here a simple one
+    g = make_grid(999)
+    t0 = g.nodes[300]
+    for c1 in np.linspace(-10.0, 10.0, 201):
+        u = sample(lambda t: (t - t0) ** 2 * (1 + c1 * (t - t0) + 400 * (t - t0) ** 2)
+                   * t * (1 - t), g)
+        assert u.values[300] == 0.0
+        profile = nodal_profile(u)
+        assert len(profile.anomalies) == 1, c1
+        assert profile.anomalies[0].startswith("simple touch-zero"), c1
+        assert not profile.in_class(profile.count + 1), c1
 
 
 def test_profile_scaling_invariance(spectrum_sin3pi800):
@@ -304,11 +333,10 @@ def _quadratic_root_polyfit(ts, vs, lo, hi):
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
-def test_quadratic_root_matches_polyfit_on_eigenfunctions(name, monkeypatch):
+def test_quadratic_root_matches_polyfit_on_eigenfunctions(name, windows300, monkeypatch):
     # every parabola find_zeros refines on the window's eigenfunctions: the
     # closed form finds a root exactly when the fit does, within 1e-12 h
-    g = make_grid(300)
-    res = widest_resolvable_window(sample(WEIGHTS[name], g))
+    res = windows300[name]
     calls = []
 
     def spy(ts, vs, lo, hi):
@@ -323,7 +351,7 @@ def test_quadratic_root_matches_polyfit_on_eigenfunctions(name, monkeypatch):
         got, ref = _quadratic_root(*args), _quadratic_root_polyfit(*args)
         assert (got is None) == (ref is None)
         if got is not None:
-            assert abs(got - ref) <= 1e-12 * g.h
+            assert abs(got - ref) <= 1e-12 * res.grid.h
 
 
 def test_quadratic_root_of_a_straight_line():

@@ -250,9 +250,6 @@ def test_eigen_shoot_bisects_a_badly_scaled_bracket(monkeypatch):
 @pytest.mark.parametrize("call", [
     lambda m: shoot_eigenvalue(m, (np.nan, 110.0)),
     lambda m: shoot_eigenvalue(m, (90.0, np.inf)),
-    lambda m: shoot_eigenvalue(m, (90.0, 110.0), rtol=0.0),
-    lambda m: shoot_eigenvalue(m, (90.0, 110.0), rtol=-1e-10),
-    lambda m: shoot_eigenvalue(m, (90.0, 110.0), rtol=np.nan),
     lambda m: shoot_eigenvalue(m, (90.0, 110.0), n_steps=0),
     lambda m: shoot_eigenvalue(m, (90.0, 110.0), n_steps=-3),
     lambda m: boundary_determinant(100.0, m, n_steps=0),
@@ -260,9 +257,9 @@ def test_eigen_shoot_bisects_a_badly_scaled_bracket(monkeypatch):
     lambda m: boundary_determinant(np.nan, m),
     lambda m: boundary_determinant(np.inf, m),
     lambda m: boundary_determinant(-np.inf, m),
-], ids=["nan-bracket", "inf-bracket", "rtol-zero", "rtol-negative", "rtol-nan",
-        "steps-zero", "steps-negative", "determinant-steps-zero", "nan-weight",
-        "determinant-mu-nan", "determinant-mu-inf", "determinant-mu-minus-inf"])
+], ids=["nan-bracket", "inf-bracket", "steps-zero", "steps-negative",
+        "determinant-steps-zero", "nan-weight", "determinant-mu-nan",
+        "determinant-mu-inf", "determinant-mu-minus-inf"])
 def test_shooting_rejects_bad_input_before_any_determinant(monkeypatch, call):
     evaluated = _count_determinants(monkeypatch)
     with pytest.raises(ValidationError):
