@@ -8,7 +8,8 @@ fixed-point map, and it is what makes the eigenvalues bifurcation points.
 
 import numpy as np
 
-from beamspec import degree_parity_sweep, det_sign_psi, make_grid, sample
+from beamspec import (degree_parity_sweep, det_sign_psi, make_grid, sample,
+                      widest_resolvable_window)
 
 grid = make_grid(1000)
 one = sample(lambda t: np.ones_like(t), grid)
@@ -24,7 +25,7 @@ print("sign-changing weight sin(3 pi t), seeded sweep on both sides:")
 m3 = sample(lambda t: np.sin(3 * np.pi * t), grid)
 rng = np.random.default_rng(1)
 samples = np.concatenate([rng.uniform(1.0, 1e5, 8), rng.uniform(-5e5, -1.0, 8)])
-report = degree_parity_sweep(m3, samples)
+report = degree_parity_sweep(m3, samples, widest_resolvable_window(m3))
 for row in report["rows"]:
     print(f"  mu = {row['mu']:12.1f}   det = {row['det_sign']:+d}   "
           f"eigenvalues passed = {row['count']}   match = {row['match']}")

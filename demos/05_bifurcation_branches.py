@@ -29,13 +29,13 @@ for k in (1, 2):
     config = ContinuationConfig(ds=ds_max / 8, ds_max=ds_max,
                                 norm_budget=200.0, max_steps=500)
     for sigma in (+1, -1):
-        start = bifurcation_start(k, +1, sigma, spec, config, res)
+        start = bifurcation_start(k, +1, sigma, spec, res)
         branch = trace_branch(start, spec, config)
         branches.append(branch)
         last = branch.points[-1]
         print(f"k={k} sigma={sigma:+d}: {len(branch.points)} points, "
               f"mu {branch.points[0].mu:9.4f} -> {last.mu:9.4f}, "
-              f"e_norm -> {last.norm.value:8.2f}, "
+              f"e_norm -> {last.norm:8.2f}, "
               f"zeros held at {last.profile.count}, "
               f"termination {branch.termination}")
 

@@ -33,7 +33,7 @@ for k in (1, 2):
         spec = AutonomousProblem(m=one, gamma=gamma, f=f)
         rmax, _ = fp_residual(u, 1.0, spec)
         print(f"  sigma={sigma:+d}: max|u| = {np.max(np.abs(u.values)):.6f}, "
-              f"e_norm = {e_norm(u).value:.4f}, residual = {rmax:.2e}")
+              f"e_norm = {e_norm(u):.4f}, residual = {rmax:.2e}")
     # cross-check the sigma=+ solution against pure IVP shooting
     u = solve_nodal(gamma, f, one, k, +1, +1, spectrum_result=res)
     u_shoot = shoot_nodal_solution(

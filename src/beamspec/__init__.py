@@ -16,7 +16,7 @@ from .continuation import (Branch, BranchPoint, ContinuationConfig,
                            bifurcation_start, cross_hyperplane, save_branch,
                            solve_nodal, solve_nodal_range, trace_branch)
 from .errors import *  # noqa: F401,F403 - the exception vocabulary
-from .grid import (ENorm, Grid, SampledFn, derivative, e_norm, from_csv,
+from .grid import (Grid, SampledFn, derivative, e_norm, from_csv,
                    from_interior, interior_dot, make_grid, sample, to_csv)
 from .linops import SecondDiffOperator, det_sign_psi, lambda2, lambda_solve
 from .nodal import (NodalProfile, ZeroRecord, classify_zero, find_zeros,

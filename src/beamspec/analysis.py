@@ -19,7 +19,7 @@ from .errors import HypothesisViolated, NotInWeightClass
 from .grid import SampledFn, e_norm
 from .linops import det_sign_psi, lambda2
 from .nodal import find_zeros
-from .spectrum import eigen_pencil, widest_resolvable_window
+from .spectrum import eigen_pencil
 
 
 def parity_samples(spectrum_result, rng, n_pos, n_neg):
@@ -40,15 +40,14 @@ def parity_samples(spectrum_result, rng, n_pos, n_neg):
                            rng.uniform(lo, -1e-3, n_neg)])
 
 
-def degree_parity_sweep(m, mu_samples, spectrum_result=None):
+def degree_parity_sweep(m, mu_samples, spectrum_result):
     """Compare det_sign_psi with eigenvalue-count parity at each sample.
 
-    Samples within 1e-6 relative distance of a computed eigenvalue, or
-    beyond the computed part of the spectrum, are dropped.  Returns a
-    report dict with one row per retained sample and an all-match flag.
+    Samples within 1e-6 relative distance of an eigenvalue of
+    spectrum_result, or beyond its computed part of the spectrum, are
+    dropped.  Returns a report dict with one row per retained sample and
+    an all-match flag.
     """
-    if spectrum_result is None:
-        spectrum_result = widest_resolvable_window(m)
     pos = [p.mu for p in spectrum_result.positive]
     neg = [p.mu for p in spectrum_result.negative]
     # beyond these the count below mu would miss uncomputed eigenvalues
@@ -85,7 +84,7 @@ def sturm_check(b1, b2, u1, u2, residual_tol=1e-6):
     if not np.all(i2 > i1):
         raise HypothesisViolated("b2 must exceed b1 at every interior node")
     for label, b, u in (("u1", b1, u1), ("u2", b2, u2)):
-        norm = e_norm(u).value
+        norm = e_norm(u)
         if norm <= 1e-12:
             raise HypothesisViolated(f"{label} is numerically trivial")
         r = u - lambda2(SampledFn(u.grid, b.values * u.values))

@@ -160,7 +160,7 @@ def _cmd_branch(args):
     res = _spectrum_for(m, args.k, nu)
     branches = []
     for sigma in sigmas:
-        start = bifurcation_start(args.k, nu, sigma, spec, config, res)
+        start = bifurcation_start(args.k, nu, sigma, spec, res)
         branches.append(trace_branch(start, spec, config))
     os.makedirs(args.out, exist_ok=True)
     failed = False

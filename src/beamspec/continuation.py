@@ -26,7 +26,7 @@ hyperplane mu = 1, and polishes the crossing point, which solves the
 original problem, to CORRECTOR_TOL with no amplitude factor.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,26 +48,26 @@ CORRECTOR_TOL = 1e-10      # residual bound, times (1 + e_norm) on branch points
 MAX_CORRECTOR_ITER = 12    # Newton iterations per corrector call
 GROW_FACTOR = 1.2          # ds growth after each accepted step, up to ds_max
 HYPERPLANE_TOL = 1e-6      # |mu - 1| under which a branch point is on the plane
+EPS_START = 1e-3           # amplitude of the first branch point
+DS_MIN = 1e-5              # smallest step; a step failing at it ends the branch
 
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """The six branch settings: the first step ds, halved toward ds_min on
+    """The four branch settings: the first step ds, halved toward DS_MIN on
     a rejected step and grown by GROW_FACTOR toward ds_max on an accepted
-    one; the start amplitude eps_start; the stops max_steps and
-    norm_budget.  CORRECTOR_TOL, MAX_CORRECTOR_ITER and HYPERPLANE_TOL are
-    module constants."""
+    one; the stops max_steps and norm_budget.  The start amplitude
+    EPS_START, DS_MIN, CORRECTOR_TOL, MAX_CORRECTOR_ITER and HYPERPLANE_TOL
+    are module constants."""
 
     ds: float = 0.05
-    ds_min: float = 1e-5
     ds_max: float = 0.5
-    eps_start: float = 1e-3
     max_steps: int = 2000
     norm_budget: float = 1e3
 
     def __post_init__(self):
-        if not (0.0 < self.ds_min <= self.ds <= self.ds_max):
-            raise ValidationError("need 0 < ds_min <= ds <= ds_max")
+        if not (DS_MIN <= self.ds <= self.ds_max):
+            raise ValidationError(f"need {DS_MIN:g} <= ds <= ds_max")
         if not self.norm_budget > 0.0:
             raise ValidationError("need norm_budget > 0")
         if self.max_steps < 1:
@@ -78,13 +78,13 @@ class ContinuationConfig:
 class BranchPoint:
     mu: float
     u: SampledFn
-    norm: object          # ENorm
+    norm: float           # e_norm(u)
     profile: object       # NodalProfile
     arclength: float
-    k: int = 0
-    nu: int = 0
-    sigma: int = 0
-    origin_mu: float = 0.0
+    k: int
+    nu: int
+    sigma: int
+    origin_mu: float
 
 
 @dataclass(frozen=True)
@@ -95,12 +95,12 @@ class Branch:
     origin_mu: float
     points: tuple
     termination: str
-    flags: tuple = field(default=())
+    flags: tuple
 
 
 def _point_tol(u0, scale):
     """Branch-point tolerance for a correction started at u0."""
-    return CORRECTOR_TOL * (1.0 + max(e_norm(u0).value, scale))
+    return CORRECTOR_TOL * (1.0 + max(e_norm(u0), scale))
 
 
 def _validate_trivial_line(spec, mu):
@@ -122,29 +122,28 @@ def _spectrum_for(m, k, nu, spectrum_result=None):
     return spectrum_result
 
 
-def bifurcation_start(k, nu, sigma, spec, config=None, spectrum_result=None):
+def bifurcation_start(k, nu, sigma, spec, spectrum_result=None):
     """First nontrivial point of the (k, nu, sigma) half-branch.
 
     Predictor (origin_mu, eps * sigma * phi_k^nu), polished by one
     amplitude-pinned bordered correction: mu is freed on the hyperplane
     through the predictor with normal (h phi, 0), which keeps the
     corrector away from the trivial solution where the plain Jacobian is
-    singular.  The amplitude is halved up to 8 times before giving up.
+    singular.  The amplitude starts at EPS_START and is halved up to 8
+    times before giving up.
     """
-    if config is None:
-        config = ContinuationConfig()
     if sigma not in (+1, -1):
         raise ValidationError("sigma must be +1 or -1")
     spectrum_result = _spectrum_for(spec.m, k, nu, spectrum_result)
     pair = spectrum_result.pair(k, nu)
-    if spec.kind == "autonomous":
+    if isinstance(spec, AutonomousProblem):
         origin_mu = pair.mu / (spec.gamma * spec.f.f0)
     else:
         origin_mu = pair.mu
     _validate_trivial_line(spec, origin_mu)
 
     phi = pair.phi
-    eps = config.eps_start
+    eps = EPS_START
     last_exc = None
     for _ in range(9):
         u0 = eps * sigma * phi
@@ -155,13 +154,13 @@ def bifurcation_start(k, nu, sigma, spec, config=None, spectrum_result=None):
             profile = nodal_profile(u)
             norm = e_norm(u)
             defect = profile.class_defect(k, sigma)
-            if defect is None and norm.value <= 1.05 * eps:
+            if defect is None and norm <= 1.05 * eps:
                 return BranchPoint(mu=mu, u=u, norm=norm, profile=profile,
                                    arclength=0.0, k=k, nu=nu, sigma=sigma,
                                    origin_mu=origin_mu)
             last_exc = StartFailure(
                 f"polished point {defect or 'exceeds 1.05 eps'}, "
-                f"e_norm {norm.value:.3e} at eps={eps:.2e}")
+                f"e_norm {norm:.3e} at eps={eps:.2e}")
         except (NoConvergence, SingularJacobian) as exc:
             last_exc = exc
         eps *= 0.5
@@ -210,7 +209,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                     raise NoConvergence(f"non-finite predictor at ds={ds:.3e}")
                 pred_u = from_interior(spec.grid, pred)
                 u, mu = newton(pred_u, pred_mu, spec,
-                               tol=_point_tol(pred_u, cur.norm.value),
+                               tol=_point_tol(pred_u, cur.norm),
                                max_iter=MAX_CORRECTOR_ITER,
                                border=(h * t_u, t_mu / mu_scale))
                 profile = nodal_profile(u)
@@ -219,13 +218,13 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                     raise StepFailure(f"profile {defect} at ds={ds:.3e}")
                 accepted = (u, mu, profile)
             except (NoConvergence, SingularJacobian, StepFailure) as exc:
-                if ds <= config.ds_min:
+                if ds <= DS_MIN:
                     return Branch(k=k, nu=nu, sigma=sigma,
                                   origin_mu=start.origin_mu,
                                   points=tuple(points),
                                   termination=TERM_STEP_FAILURE,
                                   flags=tuple(flags + [f"step failure: {exc}"]))
-                ds = max(0.5 * ds, config.ds_min)
+                ds = max(0.5 * ds, DS_MIN)
 
         u, mu, profile = accepted
         du = u.interior - cur.u.interior
@@ -237,7 +236,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                             k=k, nu=nu, sigma=sigma, origin_mu=start.origin_mu)
         points.append(point)
 
-        if norm.value < 0.1 * config.eps_start and len(points) > 2:
+        if norm < 0.1 * EPS_START and len(points) > 2:
             # amplitude collapsed back to the trivial line: would mean the
             # branch met another bifurcation point, which containment forbids
             flags.append(f"falsification: amplitude collapse at mu={mu:.6g}")
@@ -246,7 +245,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
         if stop_at_mu is not None and (cur.mu - stop_at_mu) * (mu - stop_at_mu) <= 0.0:
             termination = TERM_HYPERPLANE
             break
-        if norm.value >= config.norm_budget:
+        if norm >= config.norm_budget:
             termination = TERM_NORM_BUDGET
             break
         if ds < ds_max:
@@ -289,7 +288,7 @@ def cross_hyperplane(branch, spec):
     last = branch.points[-1]
     raise NoCrossing(
         f"branch never bracketed mu = 1: reached mu={last.mu:.6g}, "
-        f"e_norm={last.norm.value:.3e}, termination={branch.termination}")
+        f"e_norm={last.norm:.3e}, termination={branch.termination}")
 
 
 def admissible_interval(mu_k, f):
@@ -317,7 +316,7 @@ def solve_nodal(gamma, f, m, k, nu, sigma, config=None, spectrum_result=None):
         raise GammaNotAdmissible(
             f"gamma={gamma:.6g} outside ({lo:.6g}, {hi:.6g}) for k={k}, nu={nu:+d}")
     spec = AutonomousProblem(m=m, gamma=gamma, f=f)
-    start = bifurcation_start(k, nu, sigma, spec, config, spectrum_result)
+    start = bifurcation_start(k, nu, sigma, spec, spectrum_result)
     branch = trace_branch(start, spec, config, stop_at_mu=1.0)
     return cross_hyperplane(branch, spec)
 
@@ -337,8 +336,8 @@ def solve_nodal_range(gamma, f, m, k_lo, k_hi, nu=+1, config=None):
     return out
 
 
-def save_branch(branch, outdir, basename="branch"):
-    """Write branch.csv, per-point solution CSVs, and a JSON manifest."""
+def save_branch(branch, outdir, basename):
+    """Write <basename>.csv, per-point solution CSVs, and a <basename>.json manifest."""
     import json
     import os
 
@@ -353,7 +352,7 @@ def save_branch(branch, outdir, basename="branch"):
         fh.write("step,arclength,mu,enorm,count,sigma\n")
         for i, p in enumerate(branch.points):
             fh.write(f"{i},{p.arclength:.17g},{p.mu:.17g},"
-                     f"{p.norm.value:.17g},{p.profile.count},"
+                     f"{p.norm:.17g},{p.profile.count},"
                      f"{p.profile.sigma:+d}\n")
             pf = os.path.join(side_dir, f"point_{i:04d}.csv")
             to_csv(p.u, pf)

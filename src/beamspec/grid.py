@@ -136,21 +136,10 @@ def derivative(u, order):
     return SampledFn(u.grid, out)
 
 
-@dataclass(frozen=True)
-class ENorm:
-    """sup|u| + sup|u'| + sup|u''| + sup|u'''| with the four parts kept."""
-
-    value: float
-    parts: tuple
-
-
 def e_norm(u):
     """C^3-type norm: the sum of the sup norms of u and its first three derivatives."""
-    parts = (float(np.max(np.abs(u.values))),
-             float(np.max(np.abs(derivative(u, 1).values))),
-             float(np.max(np.abs(derivative(u, 2).values))),
-             float(np.max(np.abs(derivative(u, 3).values))))
-    return ENorm(value=sum(parts), parts=parts)
+    return sum(float(np.max(np.abs(f.values)))
+               for f in (u, derivative(u, 1), derivative(u, 2), derivative(u, 3)))
 
 
 def interior_dot(u, v):

@@ -17,7 +17,7 @@ any of them is one; nodal_profile reads the kinds.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class NodalProfile:
     sigma: int  # sign of u just right of t = 0
     zeros: tuple
     is_nodal: bool
-    anomalies: tuple = field(default=())
+    anomalies: tuple
 
     def class_defect(self, k, sigma=None):
         """The first condition of S_k^sigma the profile fails, as a
@@ -83,13 +83,6 @@ class NodalProfile:
         """Membership in S_k^sigma: k - 1 zeros, all simple, no anomaly,
         and, when sigma is given, that sign just right of t = 0."""
         return self.class_defect(k, sigma) is None
-
-    def to_json(self):
-        return {
-            "count": self.count,
-            "sigma": "+" if self.sigma > 0 else "-",
-            "zeros": [{"t": z.t_star, "kind": z.kind} for z in self.zeros],
-        }
 
 
 def _interp_linear(grid, values, t):
@@ -138,7 +131,7 @@ def _derivative_fields(u):
 
 
 def _scale(u, fields):
-    """e_norm(u).value from precomputed derivative fields, summed in e_norm's order."""
+    """e_norm(u) from precomputed derivative fields, summed in e_norm's order."""
     return sum(float(np.max(np.abs(f.values))) for f in (u,) + fields)
 
 

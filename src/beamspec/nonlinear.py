@@ -27,7 +27,7 @@ corrector frees mu on a hyperplane through its start (continuation's
 border) and solves the bordered system by block elimination.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,24 +36,19 @@ from .errors import (AsymptoticMismatch, BoundaryViolation, NoConvergence,
 from .grid import SampledFn, e_norm, from_interior
 from .linops import EPS, SecondDiffOperator, _MixedLU
 
+SLOPE_RTOL = 1e-3   # relative tolerance of check_asymptotics on f0 and finf
+
 
 @dataclass(frozen=True)
 class PerturbationG:
     """Perturbation g(t, s, mu), assumed o(|s|) near s = 0 for branch work.
 
-    evaluate must broadcast over numpy arrays in t and s.  partial, when
-    given, is dg/ds; otherwise slopes fall back to central differences.
+    evaluate and its s-derivative partial must broadcast over numpy arrays
+    in t and s; the mu-derivative is taken by central differences.
     """
 
     evaluate: callable
-    partial: callable = None
-    name: str = "g"
-
-    def slope(self, t, s, mu):
-        if self.partial is not None:
-            return self.partial(t, s, mu)
-        step = 1e-6 * (1.0 + np.abs(s))
-        return (self.evaluate(t, s + step, mu) - self.evaluate(t, s - step, mu)) / (2.0 * step)
+    partial: callable
 
     def mu_slope(self, t, s, mu):
         step = 1e-6 * (1.0 + abs(mu))
@@ -68,7 +63,6 @@ class AsymptoticF:
     f0: float
     finf: float
     derivative: callable = None
-    name: str = "f"
 
     def slope(self, s):
         if self.derivative is not None:
@@ -81,7 +75,6 @@ class AsymptoticF:
 class PerturbedProblem:
     m: SampledFn
     g: PerturbationG
-    kind: str = field(default="perturbed", init=False)
 
     @property
     def grid(self):
@@ -93,7 +86,7 @@ class PerturbedProblem:
 
     def source_slope(self, u_int, mu):
         t = self.grid.interior_nodes
-        return mu * self.m.interior + self.g.slope(t, u_int, mu)
+        return mu * self.m.interior + self.g.partial(t, u_int, mu)
 
     def source_mu_slope(self, u_int, mu):
         t = self.grid.interior_nodes
@@ -107,7 +100,6 @@ class AutonomousProblem:
     m: SampledFn
     gamma: float
     f: AsymptoticF
-    kind: str = field(default="autonomous", init=False)
 
     @property
     def grid(self):
@@ -129,7 +121,7 @@ def check_boundary(u):
     The moment conditions u''(0) = u''(1) = 0 are imposed by the discrete
     operator itself, so only the stored endpoint values are checkable.
     """
-    tol = 1e-10 * e_norm(u).value
+    tol = 1e-10 * e_norm(u)
     if abs(u.values[0]) > tol or abs(u.values[-1]) > tol:
         raise BoundaryViolation(
             f"endpoint values ({u.values[0]:.3e}, {u.values[-1]:.3e}) "
@@ -196,7 +188,7 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     """
     check_boundary(u0)
     if tol is None:
-        tol = 1e-10 * (1.0 + e_norm(u0).value)
+        tol = 1e-10 * (1.0 + e_norm(u0))
     a = SecondDiffOperator(spec.grid)
     u = u0.interior.copy()
     w = a.apply(u)
@@ -256,12 +248,13 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
         f"(tol {tol:.3e}) after {max_iter} iterations")
 
 
-def check_asymptotics(f, rtol=1e-3):
+def check_asymptotics(f):
     """Estimate f0 and finf from samples and compare with the declared values.
 
     f0_hat averages f(s)/s over s = +-1e-7, finf_hat over s = +-1e6;
     h1_ok is min of f(s) s > 0 over log-spaced s of both signs.  Raises
-    AsymptoticMismatch when a declared slope is off by more than rtol.
+    AsymptoticMismatch when a declared slope is off by more than
+    SLOPE_RTOL relative, or when its estimate is not a number.
     """
     def ratio(s):
         return f.f(s) / s
@@ -270,7 +263,7 @@ def check_asymptotics(f, rtol=1e-3):
     s_grid = np.concatenate([np.logspace(-7, 6, 40), -np.logspace(-7, 6, 40)])
     h1_ok = bool(np.min(f.f(s_grid) * s_grid) > 0.0)
     for declared, measured, label in ((f.f0, f0_hat, "f0"), (f.finf, finf_hat, "finf")):
-        if not (declared > 0.0) or abs(measured - declared) > rtol * abs(declared):
+        if not (declared > 0.0 and abs(measured - declared) <= SLOPE_RTOL * declared):
             raise AsymptoticMismatch(
                 f"{label}: declared {declared}, sampled {measured:.6g}")
     return f0_hat, finf_hat, h1_ok

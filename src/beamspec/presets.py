@@ -42,24 +42,21 @@ def cubic_perturbation():
 
     return PerturbationG(
         evaluate=ev,
-        partial=lambda t, s, mu: 3.0 * _as_s(t, s) ** 2,
-        name="cubic")
+        partial=lambda t, s, mu: 3.0 * _as_s(t, s) ** 2)
 
 
 def zero_perturbation():
     """g = 0: the purely linear problem (vertical branches)."""
     return PerturbationG(
         evaluate=lambda t, s, mu: np.zeros_like(_as_s(t, s)),
-        partial=lambda t, s, mu: np.zeros_like(_as_s(t, s)),
-        name="zero")
+        partial=lambda t, s, mu: np.zeros_like(_as_s(t, s)))
 
 
 def linear_f():
     """f(s) = s with slopes (1, 1)."""
     # 1.0 * s is s itself as a new float or array, -0.0 included
     return AsymptoticF(f=lambda s: 1.0 * s, f0=1.0, finf=1.0,
-                       derivative=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                       name="linear")
+                       derivative=lambda s: np.ones_like(np.asarray(s, dtype=float)))
 
 
 def saturating_f(gain=2.0):
@@ -74,8 +71,7 @@ def saturating_f(gain=2.0):
     def df(s):
         return gain - c / (1.0 + s * s) + 2.0 * c * s * s / (1.0 + s * s) ** 2
 
-    return AsymptoticF(f=f, f0=1.0, finf=float(gain), derivative=df,
-                       name=f"saturating(gain={gain:g})")
+    return AsymptoticF(f=f, f0=1.0, finf=float(gain), derivative=df)
 
 
 def atan_shift_f():
@@ -85,8 +81,7 @@ def atan_shift_f():
     return AsymptoticF(
         f=lambda s: s + np.arctan(s),
         f0=2.0, finf=1.0,
-        derivative=lambda s: 1.0 + 1.0 / (1.0 + s * s),
-        name="atan_shift")
+        derivative=lambda s: 1.0 + 1.0 / (1.0 + s * s))
 
 
 PERTURBATIONS = {
@@ -139,4 +134,4 @@ def table_f(path, f0, finf):
         hi = f_tab[-1] + (s - s_tab[-1]) * finf
         return np.where(s < s_tab[0], lo, np.where(s > s_tab[-1], hi, inside))
 
-    return AsymptoticF(f=f, f0=float(f0), finf=float(finf), name=f"table({path})")
+    return AsymptoticF(f=f, f0=float(f0), finf=float(finf))

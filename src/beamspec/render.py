@@ -23,7 +23,7 @@ def render_diagram(branches):
     if not branches:
         raise ValueError("render_diagram needs at least one branch")
     mus = [p.mu for b in branches for p in b.points] + [b.origin_mu for b in branches]
-    norms = [p.norm.value for b in branches for p in b.points] + [0.0]
+    norms = [p.norm for b in branches for p in b.points] + [0.0]
     mu_lo, mu_hi = min(mus), max(mus)
     if mu_hi - mu_lo < 1e-9 * (1.0 + abs(mu_hi)):
         pad = 0.05 * (1.0 + abs(mu_hi))
@@ -57,7 +57,7 @@ def render_diagram(branches):
 
     for i, b in enumerate(sorted(branches, key=lambda b: (b.k, -b.nu, -b.sigma))):
         color = PALETTE[i % len(PALETTE)]
-        pts = [(b.origin_mu, 0.0)] + [(p.mu, p.norm.value) for p in b.points]
+        pts = [(b.origin_mu, 0.0)] + [(p.mu, p.norm) for p in b.points]
         coords = " ".join(f"{_fmt(sx(mu))},{_fmt(sy(v))}" for mu, v in pts)
         label = f"k={b.k} nu={'+' if b.nu > 0 else '-'} sigma={'+' if b.sigma > 0 else '-'}"
         parts.append(f'<polyline points="{coords}" fill="none" '

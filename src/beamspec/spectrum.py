@@ -37,7 +37,7 @@ difference between 1e-10 and 1e-4 of relative eigenvalue noise.
 """
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
@@ -96,7 +96,7 @@ class EigenPair:
     nu: int       # sign class, +1 or -1
     mu: float
     phi: SampledFn
-    rank: int = 0  # magnitude order within the sign class, 1-based
+    rank: int     # magnitude order within the sign class, 1-based
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class SpectrumResult:
     positive: tuple   # EigenPairs, ascending mu
     negative: tuple   # EigenPairs, descending mu (ascending |mu|)
     weight: SampledFn
-    flags: tuple = field(default=())
+    flags: tuple
 
     @property
     def grid(self):
@@ -121,15 +121,10 @@ class SpectrumResult:
             f"{'positive' if nu > 0 else 'negative'} class "
             f"(present nodal indices: {[p.k for p in seq]})")
 
-    def to_json(self, weight_id="custom", phi_refs=None):
+    def to_json(self, weight_id, phi_refs):
         def side(pairs):
-            out = []
-            for p in pairs:
-                row = {"k": p.k, "rank": p.rank, "mu": p.mu}
-                if phi_refs is not None:
-                    row["phi_csv_ref"] = phi_refs[(p.k, p.nu)]
-                out.append(row)
-            return out
+            return [{"k": p.k, "rank": p.rank, "mu": p.mu,
+                     "phi_csv_ref": phi_refs[(p.k, p.nu)]} for p in pairs]
         return {
             "weight_id": weight_id,
             "n": self.grid.n_interior,
@@ -177,7 +172,7 @@ def _pencil(m, count_pos, count_neg):
             i = indices[rank]
             mu = 1.0 / vals[i]
             phi = from_interior(grid, a.solve(vecs[:, i]))
-            phi = SampledFn(grid, phi.values / e_norm(phi).value)
+            phi = SampledFn(grid, phi.values / e_norm(phi))
             profile = nodal_profile(phi)
             if profile.sigma < 0:
                 phi = -phi

@@ -10,8 +10,9 @@ import numpy as np
 
 from .analysis import (degree_parity_sweep, parity_samples, spacing_check,
                        sturm_check)
-from .continuation import (TERM_HYPERPLANE, TERM_NORM_BUDGET, ContinuationConfig,
-                           bifurcation_start, solve_nodal, solve_nodal_range, trace_branch)
+from .continuation import (EPS_START, TERM_HYPERPLANE, TERM_NORM_BUDGET,
+                           ContinuationConfig, bifurcation_start, solve_nodal,
+                           solve_nodal_range, trace_branch)
 from .errors import GammaNotAdmissible, HypothesisViolated, ValidationError
 from .grid import derivative, e_norm, interior_dot, make_grid, sample
 from .nodal import nodal_profile
@@ -209,7 +210,6 @@ def _branch_config(phi):
     length = BATTERY_NORM_BUDGET * phi_h
     ds_max = length / float(BATTERY_MIN_POINTS)
     return ContinuationConfig(ds=ds_max / 8.0, ds_max=ds_max,
-                              ds_min=min(1e-5, ds_max / 8.0),
                               norm_budget=BATTERY_NORM_BUDGET, max_steps=2000)
 
 
@@ -232,7 +232,7 @@ def run_branch_battery(grid, spectra):
         pair = res.pair(k, nu)
         config = _branch_config(pair.phi)
         for sigma in (+1, -1):
-            start = bifurcation_start(k, nu, sigma, spec, config, res)
+            start = bifurcation_start(k, nu, sigma, spec, res)
             branches.append(trace_branch(start, spec, config))
     return branches
 
@@ -261,8 +261,8 @@ def check_branch_invariants(branches):
     distinct_ok = True
     for a, b in zip(branches[0::2], branches[1::2]):
         npts = min(len(a.points), len(b.points))
-        gap = min(e_norm(a.points[i].u - b.points[i].u).value for i in range(npts))
-        if gap <= ContinuationConfig.eps_start / 2.0:
+        gap = min(e_norm(a.points[i].u - b.points[i].u) for i in range(npts))
+        if gap <= EPS_START / 2.0:
             distinct_ok = False
     passed6 = doubles == 0
     passed7 = (containment_ok and distinct_ok and len(branches) >= 8

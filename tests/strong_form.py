@@ -43,4 +43,4 @@ def manufactured_perturbation(weight_fn):
         s = np.broadcast_arrays(t, np.asarray(s, dtype=float))[1]
         return -mu * weight_fn(t) * np.ones_like(s)
 
-    return PerturbationG(evaluate=ev, partial=pd, name="manufactured")
+    return PerturbationG(evaluate=ev, partial=pd)

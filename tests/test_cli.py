@@ -123,6 +123,31 @@ def test_huge_first_step_is_capped_at_the_norm_budget(tmp_path, capsys, monkeypa
     assert len(calls) == 4
 
 
+def test_branch_step_failure_exits_3_with_its_manifest(tmp_path, capsys, monkeypatch):
+    # every corrector call after the start polish fails, so both halves end
+    # in StepFailure at DS_MIN; the run still writes and checksums its files
+    from beamspec import cli, continuation
+    from beamspec.errors import NoConvergence
+    trace = cli.trace_branch
+
+    def forced(*args, **kwargs):
+        raise NoConvergence("forced")
+
+    def failing_trace(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(continuation, "newton", forced)
+            return trace(*args)
+
+    monkeypatch.setattr(cli, "trace_branch", failing_trace)
+    out = tmp_path / "b"
+    assert run(["branch", "--n", "48", "--out", str(out)]) == 3
+    assert capsys.readouterr().out.count("1 points, termination StepFailure") == 2
+    manifest = _manifest_checks_out(out)
+    assert "branch_k1_p_p.json" in [e["path"] for e in manifest["files"]]
+    with open(out / "branch_k1_p_n.json") as fh:
+        assert json.load(fh)["flags"] == ["step failure: forced"]
+
+
 def test_branch_command_deterministic_svg(tmp_path):
     args = ["branch", "--weight", "one", "--g", "cubic", "--k", "1",
             "--sigma", "both", "--n", "300", "--norm-budget", "20",

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from beamspec import continuation
 from beamspec.continuation import (GROW_FACTOR, ContinuationConfig,
                                    admissible_interval, bifurcation_start,
                                    cross_hyperplane, solve_nodal, trace_branch)
-from beamspec.errors import GammaNotAdmissible, NoCrossing, NotInWeightClass
+from beamspec.errors import (GammaNotAdmissible, NoConvergence, NoCrossing,
+                             NotInWeightClass)
 from beamspec.grid import e_norm, interior_dot, make_grid, sample
 from beamspec.linops import SecondDiffOperator, _MixedLU
 from beamspec.nodal import nodal_profile
@@ -36,7 +38,7 @@ def test_start_linear_problem(setup):
     # the linear branch is vertical: the polished mu equals the pencil value
     assert abs(start.mu - res.positive[0].mu) <= 1e-8
     assert start.profile.count == 0 and start.profile.sigma == +1
-    assert start.norm.value <= 1.05e-3
+    assert start.norm <= 1.05e-3
 
 
 def test_start_sign_convention(setup):
@@ -50,7 +52,7 @@ def test_start_sign_convention(setup):
     assert lead < 0
 
 
-def test_start_cubic_tilt_rayleigh_oracle(setup):
+def test_start_cubic_tilt_rayleigh_oracle(setup, monkeypatch):
     # oracle: first-order bifurcation expansion
     #   mu(eps) = mu_1 - <u^3, phi>_h / <m u, phi>_h + higher order.
     # At the tiny amplitudes where the corrector tolerance would swamp the
@@ -61,8 +63,8 @@ def test_start_cubic_tilt_rayleigh_oracle(setup):
     phi = res.positive[0].phi
     ratios = []
     for eps in (0.4, 0.2):
-        cfg = ContinuationConfig(eps_start=eps)
-        start = bifurcation_start(1, +1, +1, spec, cfg, res)
+        monkeypatch.setattr(continuation, "EPS_START", eps)
+        start = bifurcation_start(1, +1, +1, spec, res)
         delta = res.positive[0].mu - start.mu
         assert delta > 0  # the cubic term tilts the branch subcritically
         u3 = start.u.values ** 3
@@ -80,20 +82,19 @@ def test_trace_linear_branch_is_vertical(setup):
     # arclength lives in the h-weighted L2 metric; size the step so the
     # E-norm budget takes at least 100 steps to reach
     ds = 0.5 * np.sqrt(interior_dot(phi, phi)) / 120.0
-    cfg = ContinuationConfig(ds=ds, ds_max=ds, ds_min=ds / 4.0,
-                             norm_budget=0.5, max_steps=400)
-    start = bifurcation_start(1, +1, +1, spec, cfg, res)
+    cfg = ContinuationConfig(ds=ds, ds_max=ds, norm_budget=0.5, max_steps=400)
+    start = bifurcation_start(1, +1, +1, spec, res)
     branch = trace_branch(start, spec, cfg)
     assert branch.termination == "NormBudget"
     assert len(branch.points) >= 100
     drift = max(abs(p.mu - start.mu) for p in branch.points)
     assert drift <= 1e-6
     # norm grows monotonically along the vertical branch
-    norms = [p.norm.value for p in branch.points]
+    norms = [p.norm for p in branch.points]
     assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
-def test_step_grows_to_ds_max_without_rejection(setup):
+def test_step_grows_to_ds_max_without_rejection(setup, monkeypatch):
     # on the vertical linear branch every corrected step lies on the line,
     # so each arclength increment equals the ds it was taken with; a
     # rejected step would halve ds and break the geometric sequence
@@ -102,9 +103,10 @@ def test_step_grows_to_ds_max_without_rejection(setup):
     phi = res.positive[0].phi
     ds_max = 0.5 * np.sqrt(interior_dot(phi, phi)) / 120.0
     ds = ds_max / 8.0
-    cfg = ContinuationConfig(ds=ds, ds_max=ds_max, ds_min=ds / 4.0,
-                             norm_budget=0.5, max_steps=400)
-    branch = trace_branch(bifurcation_start(1, +1, +1, spec, cfg, res), spec, cfg)
+    # ds is about 8e-6 here, below the library's DS_MIN
+    monkeypatch.setattr(continuation, "DS_MIN", ds / 4.0)
+    cfg = ContinuationConfig(ds=ds, ds_max=ds_max, norm_budget=0.5, max_steps=400)
+    branch = trace_branch(bifurcation_start(1, +1, +1, spec, res), spec, cfg)
     assert branch.termination == "NormBudget" and branch.flags == ()
     arc = np.array([p.arclength for p in branch.points])
     steps = np.diff(arc)
@@ -115,25 +117,47 @@ def test_step_grows_to_ds_max_without_rejection(setup):
     assert np.count_nonzero(expected == ds_max) >= 50
 
 
+def test_persistent_step_failure_ends_the_branch_at_ds_min(setup, monkeypatch):
+    # every corrector call after the start fails: ds is halved from its
+    # first value down to DS_MIN, tried once more there, and the branch
+    # ends with its start point alone
+    g, one, res = setup
+    spec = PerturbedProblem(m=one, g=cubic_perturbation())
+    cfg = ContinuationConfig()
+    start = bifurcation_start(1, +1, +1, spec, res)
+    calls = []
+
+    def forced(*args, **kwargs):
+        calls.append(args)
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(continuation, "newton", forced)
+    branch = trace_branch(start, spec, cfg)
+    assert len(calls) == 1 + math.ceil(math.log2(cfg.ds / continuation.DS_MIN))
+    assert branch.termination == continuation.TERM_STEP_FAILURE
+    assert branch.points == (start,)
+    assert branch.flags == ("step failure: forced",)
+
+
 def test_trace_cubic_halves_mirror(setup):
     g, one, res = setup
     spec = PerturbedProblem(m=one, g=cubic_perturbation())
     cfg = ContinuationConfig(norm_budget=50.0, max_steps=500)
-    bp = trace_branch(bifurcation_start(1, +1, +1, spec, cfg, res), spec, cfg)
-    bm = trace_branch(bifurcation_start(1, +1, -1, spec, cfg, res), spec, cfg)
+    bp = trace_branch(bifurcation_start(1, +1, +1, spec, res), spec, cfg)
+    bm = trace_branch(bifurcation_start(1, +1, -1, spec, res), spec, cfg)
     assert bp.termination == bm.termination == "NormBudget"
     npts = min(len(bp.points), len(bm.points))
     for i in range(npts):
         assert bp.points[i].mu == pytest.approx(bm.points[i].mu, abs=1e-8)
         gap = np.max(np.abs(bp.points[i].u.values + bm.points[i].u.values))
-        assert gap <= 1e-8 * max(1.0, bp.points[i].norm.value)
+        assert gap <= 1e-8 * max(1.0, bp.points[i].norm)
 
 
 def test_trace_profile_constant(setup):
     g, one, res = setup
     spec = PerturbedProblem(m=one, g=cubic_perturbation())
     cfg = ContinuationConfig(norm_budget=50.0, max_steps=500)
-    branch = trace_branch(bifurcation_start(2, +1, +1, spec, cfg, res), spec, cfg)
+    branch = trace_branch(bifurcation_start(2, +1, +1, spec, res), spec, cfg)
     for p in branch.points:
         assert p.profile.count == 1
         assert p.profile.sigma == +1
@@ -146,7 +170,7 @@ def test_arclength_increment_is_the_secant_length(setup):
     g, one, res = setup
     spec = PerturbedProblem(m=one, g=cubic_perturbation())
     cfg = ContinuationConfig(ds=0.5, max_steps=20)
-    branch = trace_branch(bifurcation_start(1, +1, +1, spec, cfg, res), spec, cfg)
+    branch = trace_branch(bifurcation_start(1, +1, +1, spec, res), spec, cfg)
     assert branch.points[-1].mu < 0.5 * branch.points[0].mu
     mu_scale = max(1.0, abs(branch.origin_mu))
     for a, b in zip(branch.points, branch.points[1:]):
@@ -179,15 +203,15 @@ def test_step_halving_reproduces_curve(setup):
                               max_steps=2000)
     halved = ContinuationConfig(ds=0.01, ds_max=0.01, norm_budget=20.0,
                                 max_steps=2000)
-    b1 = trace_branch(bifurcation_start(1, +1, +1, spec, base, res), spec, base)
-    b2 = trace_branch(bifurcation_start(1, +1, +1, spec, halved, res), spec, halved)
+    b1 = trace_branch(bifurcation_start(1, +1, +1, spec, res), spec, base)
+    b2 = trace_branch(bifurcation_start(1, +1, +1, spec, res), spec, halved)
     s1 = np.array([p.arclength for p in b1.points]) / b1.points[-1].arclength
     s2 = np.array([p.arclength for p in b2.points]) / b2.points[-1].arclength
     mu2 = np.interp(s1, s2, [p.mu for p in b2.points])
-    en2 = np.interp(s1, s2, [p.norm.value for p in b2.points])
+    en2 = np.interp(s1, s2, [p.norm for p in b2.points])
     for i in range(1, len(s1)):
         assert b1.points[i].mu == pytest.approx(mu2[i], rel=1e-6)
-        assert b1.points[i].norm.value == pytest.approx(en2[i], rel=1e-6)
+        assert b1.points[i].norm == pytest.approx(en2[i], rel=1e-6)
 
 
 def test_cross_hyperplane_vertical_linear_f(setup):
@@ -199,7 +223,7 @@ def test_cross_hyperplane_vertical_linear_f(setup):
     spec = AutonomousProblem(m=one, gamma=gamma, f=f)
     cfg = ContinuationConfig(ds=0.01, ds_max=0.01, norm_budget=1.0,
                              max_steps=50)
-    start = bifurcation_start(1, +1, +1, spec, cfg, res)
+    start = bifurcation_start(1, +1, +1, spec, res)
     assert abs(start.mu - 1.0) <= 1e-8
     branch = trace_branch(start, spec, cfg)
     assert all(abs(p.mu - 1.0) <= 1e-6 for p in branch.points)
@@ -216,7 +240,7 @@ def test_cross_hyperplane_refuses_a_non_nodal_crossing(setup, monkeypatch):
     gamma = 0.75 * res.positive[0].mu
     spec = AutonomousProblem(m=one, gamma=gamma, f=f)
     cfg = ContinuationConfig()
-    start = bifurcation_start(1, +1, +1, spec, cfg, res)
+    start = bifurcation_start(1, +1, +1, spec, res)
     branch = trace_branch(start, spec, cfg, stop_at_mu=1.0)
     assert all(abs(p.mu - 1.0) > continuation.HYPERPLANE_TOL
                for p in branch.points)
@@ -254,7 +278,7 @@ def test_solve_nodal_residual_is_absolute_at_large_amplitude(setup):
     f = saturating_f()
     gamma = 0.6001 * (2.0 * np.pi) ** 4
     u = solve_nodal(gamma, f, one, 2, +1, +1, spectrum_result=res)
-    assert e_norm(u).value > 99.0
+    assert e_norm(u) > 99.0
     rmax, _ = fp_residual(u, 1.0, AutonomousProblem(m=one, gamma=gamma, f=f))
     assert rmax <= 1e-8
 
@@ -284,7 +308,7 @@ def test_solve_nodal_mu_stays_positive(setup):
     gamma = 0.75 * res.positive[0].mu
     spec = AutonomousProblem(m=one, gamma=gamma, f=f)
     cfg = ContinuationConfig()
-    start = bifurcation_start(1, +1, +1, spec, cfg, res)
+    start = bifurcation_start(1, +1, +1, spec, res)
     branch = trace_branch(start, spec, cfg, stop_at_mu=1.0)
     assert all(p.mu > 0 for p in branch.points)
     assert branch.termination == "HyperplaneGoal"

@@ -96,25 +96,28 @@ def test_derivative_rejects_bad_order():
 
 def test_e_norm_zero():
     g = make_grid(50)
-    assert e_norm(SampledFn(g, np.zeros(len(g)))).value == 0.0
+    assert e_norm(SampledFn(g, np.zeros(len(g)))) == 0.0
 
 
 def test_e_norm_sine():
     g = make_grid(2000)
     u = sample(lambda t: np.sin(np.pi * t), g)
     target = 1.0 + math.pi + math.pi**2 + math.pi**3
-    assert e_norm(u).value == pytest.approx(target, abs=1e-3)
+    assert e_norm(u) == pytest.approx(target, abs=1e-3)
 
 
 def test_e_norm_parabola_parts():
     g = make_grid(500)
     u = sample(lambda t: t * (1.0 - t), g)
-    norm = e_norm(u)
-    assert norm.parts[0] == pytest.approx(0.25, abs=1e-6)
-    assert norm.parts[1] == pytest.approx(1.0, abs=1e-9)
-    assert norm.parts[2] == pytest.approx(2.0, abs=1e-8)
-    assert norm.parts[3] == pytest.approx(0.0, abs=1e-6)
-    assert norm.value == pytest.approx(3.25, abs=1e-5)
+    parts = [float(np.max(np.abs(v.values)))
+             for v in (u, derivative(u, 1), derivative(u, 2), derivative(u, 3))]
+    assert parts[0] == pytest.approx(0.25, abs=1e-6)
+    assert parts[1] == pytest.approx(1.0, abs=1e-9)
+    assert parts[2] == pytest.approx(2.0, abs=1e-8)
+    assert parts[3] == pytest.approx(0.0, abs=1e-6)
+    # e_norm sums the parts in this order, so the float is the same
+    assert e_norm(u) == sum(parts)
+    assert e_norm(u) == pytest.approx(3.25, abs=1e-5)
 
 
 def test_e_norm_homogeneous_and_triangle():
@@ -124,9 +127,8 @@ def test_e_norm_homogeneous_and_triangle():
         u = SampledFn(g, rng.standard_normal(len(g)))
         v = SampledFn(g, rng.standard_normal(len(g)))
         c = rng.uniform(-5, 5)
-        assert e_norm(c * u).value == pytest.approx(abs(c) * e_norm(u).value,
-                                                    rel=1e-12)
-        assert e_norm(u + v).value <= e_norm(u).value + e_norm(v).value + 1e-12
+        assert e_norm(c * u) == pytest.approx(abs(c) * e_norm(u), rel=1e-12)
+        assert e_norm(u + v) <= e_norm(u) + e_norm(v) + 1e-12
 
 
 def test_csv_round_trip(tmp_path):

@@ -263,7 +263,7 @@ def test_det_sign_refuses_non_finite_shift():
         with pytest.raises(ValidationError):
             det_sign_psi(mu, m)
     with pytest.raises(ValidationError):
-        degree_parity_sweep(m, [np.nan, 10.0])
+        degree_parity_sweep(m, [np.nan, 10.0], widest_resolvable_window(m))
 
 
 def test_nan_condition_estimate_is_refused(monkeypatch):

@@ -134,6 +134,21 @@ def test_check_asymptotics_mismatch():
         check_asymptotics(bad)
 
 
+@pytest.mark.parametrize("label, undefined", [
+    ("f0", lambda s: np.abs(s) < 1e-3),
+    ("finf", lambda s: np.abs(s) > 1e3),
+], ids=["f0", "finf"])
+def test_check_asymptotics_refuses_a_nan_slope(label, undefined):
+    # f(s) = s except NaN near 0 or near infinity: the slope estimate there
+    # is NaN, which no comparison with the declared slope can pass
+    def f(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(undefined(s), np.nan, s)
+
+    with pytest.raises(AsymptoticMismatch, match=f"^{label}: declared 1.0, sampled nan"):
+        check_asymptotics(AsymptoticF(f=f, f0=1.0, finf=1.0))
+
+
 def test_newton_fixed_point():
     g, one = _one(300)
     spec = PerturbedProblem(

@@ -457,7 +457,7 @@ def test_order_by_nodal_flags_swap(spectrum_one800):
     bad_pair = EigenPair(k=1, nu=+1, mu=spectrum_one800.positive[1].mu,
                          phi=spectrum_one800.positive[1].phi, rank=1)
     doctored = SpectrumResult(positive=(bad_pair,), negative=(),
-                              weight=spectrum_one800.weight)
+                              weight=spectrum_one800.weight, flags=())
     report = order_by_nodal(doctored)
     assert not report["ok"]
     assert report["violations"]
