@@ -253,9 +253,16 @@ def check_asymptotics(f):
 
     f0_hat averages f(s)/s over s = +-1e-7, finf_hat over s = +-1e6;
     h1_ok is min of f(s) s > 0 over log-spaced s of both signs.  Raises
-    AsymptoticMismatch when a declared slope is off by more than
-    SLOPE_RTOL relative, or when its estimate is not a number.
+    AsymptoticMismatch when a declared slope is not positive and finite,
+    before f is sampled, and when a declared slope is off by more than
+    SLOPE_RTOL relative or its estimate is not a number.
     """
+    for declared, label in ((f.f0, "f0"), (f.finf, "finf")):
+        # a relative tolerance on an infinite slope would pass any estimate
+        if not 0.0 < declared < np.inf:
+            raise AsymptoticMismatch(
+                f"{label}: declared {declared}, need a positive finite slope")
+
     def ratio(s):
         return f.f(s) / s
     f0_hat = 0.5 * (ratio(1e-7) + ratio(-1e-7))
@@ -263,7 +270,7 @@ def check_asymptotics(f):
     s_grid = np.concatenate([np.logspace(-7, 6, 40), -np.logspace(-7, 6, 40)])
     h1_ok = bool(np.min(f.f(s_grid) * s_grid) > 0.0)
     for declared, measured, label in ((f.f0, f0_hat, "f0"), (f.finf, finf_hat, "finf")):
-        if not (declared > 0.0 and abs(measured - declared) <= SLOPE_RTOL * declared):
+        if not abs(measured - declared) <= SLOPE_RTOL * declared:
             raise AsymptoticMismatch(
                 f"{label}: declared {declared}, sampled {measured:.6g}")
     return f0_hat, finf_hat, h1_ok

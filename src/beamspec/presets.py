@@ -8,6 +8,8 @@ user code is out of scope, but piecewise-linear f tables can be loaded
 from CSV.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -61,6 +63,8 @@ def linear_f():
 
 def saturating_f(gain=2.0):
     """f(s) = s (gain - (gain-1)/(1+s^2)): slope 1 at zero, gain at infinity."""
+    if not math.isfinite(gain):
+        raise ValidationError(f"saturating gain must be finite, got {gain}")
     c = gain - 1.0
 
     # plain arithmetic keeps a float a float: the nonlinear shoot calls f

@@ -74,7 +74,7 @@ def _glibc_heap():
     fixed threshold at numpy's huge-page size keeps those arrays out of
     the heap, each returned to the system when it is freed.  The heap
     keeps up to _HEAP_KEEP_BYTES of freed smaller arrays for reuse (at 8
-    MB a shoot took about 1.6 times as long); _pencil hands that back
+    MB a shoot took about 1.6 times as long); _decompose hands that back
     through malloc_trim before it allocates.  Off glibc this does nothing.
     """
     try:
@@ -134,6 +134,32 @@ class SpectrumResult:
         }
 
 
+def _decompose(m, vectors):
+    """One eigh of G = A^-1 M A^-1 for the weight m, split by sign.
+
+    Returns the eigenvalues nu of G, its eigenvectors (None unless
+    vectors), and the indices of the positive and of the negative nu
+    beyond NULL_TOL, each in ascending |mu| = 1/|nu|.
+    """
+    a = SecondDiffOperator(m.grid)
+    # the free heap the smaller arrays keep would add to the peak below
+    _malloc_trim(0)
+    # symmetrized and decomposed in place: each dense n x n temporary
+    # dropped here is 32 MB of peak memory at n = 2000
+    g = a.solve(a.solve(np.diag(m.interior)).T)
+    g += g.T
+    g *= 0.5
+    if vectors:
+        vals, vecs = eigh(g, overwrite_a=True)
+    else:
+        vals, vecs = eigh(g, overwrite_a=True, eigvals_only=True), None
+
+    tau = NULL_TOL * np.max(np.abs(vals))
+    pos_idx = np.argsort(-vals)[: np.count_nonzero(vals > tau)]
+    neg_idx = np.argsort(vals)[: np.count_nonzero(vals < -tau)]
+    return vals, vecs, pos_idx, neg_idx
+
+
 def _pencil(m, count_pos, count_neg):
     """One eigh of G; each side classified in magnitude order up to its count.
 
@@ -153,18 +179,7 @@ def _pencil(m, count_pos, count_neg):
 
     grid = m.grid
     a = SecondDiffOperator(grid)
-    # the free heap the smaller arrays keep would add to the peak below
-    _malloc_trim(0)
-    # symmetrized and decomposed in place: each dense n x n temporary
-    # dropped here is 32 MB of peak memory at n = 2000
-    g = a.solve(a.solve(np.diag(mv)).T)
-    g += g.T
-    g *= 0.5
-    vals, vecs = eigh(g, overwrite_a=True)
-
-    tau = NULL_TOL * np.max(np.abs(vals))
-    pos_idx = np.argsort(-vals)[: np.count_nonzero(vals > tau)]
-    neg_idx = np.argsort(vals)[: np.count_nonzero(vals < -tau)]
+    vals, vecs, pos_idx, neg_idx = _decompose(m, vectors=True)
 
     def build(indices, count, sign):
         pairs, seen = [], {}
@@ -241,27 +256,29 @@ def eigen_pencil_extrapolated(weight_fn, grid, count_pos, count_neg, fine=None):
     """Pencil eigenvalues with the leading O(h^2) error removed.
 
     Runs the pencil on the given grid (or reuses a supplied fine result)
-    and on a grid of roughly half the resolution, then combines matching
-    eigenvalues (paired by sign and magnitude rank) with the two-grid
-    Richardson formula.  The weight must be a callable so it can be
-    sampled on both grids.  Returns (fine SpectrumResult, extrapolated
-    positive mus, extrapolated negative mus), the mu lists in magnitude
-    order.
+    and takes the eigenvalues alone of G on a grid of roughly half the
+    resolution, then combines matching eigenvalues (paired by sign and
+    magnitude rank) with the two-grid Richardson formula.  Only the fine
+    grid has eigenfunctions and nodal classes: the coarse grid classifies
+    nothing, so it raises no NodalMismatch, and a side with fewer coarse
+    eigenvalues than fine pairs gives a shorter list.  The weight must be
+    a callable so it can be sampled on both grids.  Returns (fine
+    SpectrumResult, extrapolated positive mus, extrapolated negative
+    mus), the mu lists in magnitude order.
     """
     if fine is None:
         fine = eigen_pencil(sample(weight_fn, grid), count_pos, count_neg)
     coarse_grid = make_grid(grid.n_interior // 2)
-    coarse = eigen_pencil(sample(weight_fn, coarse_grid),
-                          len(fine.positive), len(fine.negative))
+    vals, _, pos_idx, neg_idx = _decompose(sample(weight_fn, coarse_grid),
+                                           vectors=False)
     h1, h2 = coarse_grid.h, grid.h
     wt = 1.0 / (h1**2 - h2**2)
 
-    def combine(fine_pairs, coarse_pairs):
-        return [wt * (h1**2 * f.mu - h2**2 * c.mu)
-                for f, c in zip(fine_pairs, coarse_pairs)]
+    def combine(fine_pairs, coarse_idx):
+        return [wt * (h1**2 * f.mu - h2**2 * (1.0 / vals[i]))
+                for f, i in zip(fine_pairs, coarse_idx)]
 
-    return fine, combine(fine.positive, coarse.positive), \
-        combine(fine.negative, coarse.negative)
+    return fine, combine(fine.positive, pos_idx), combine(fine.negative, neg_idx)
 
 
 def order_by_nodal(result):

@@ -46,6 +46,23 @@ def test_criterion_03_oracle_agreement(state):
     _finish(report)
 
 
+def test_criterion_03_takes_137_determinants(state, monkeypatch):
+    # each of the 29 centred shoots closes after 4 determinants but a few;
+    # a change in the oracle's work shows here before it shows in time
+    from beamspec import shooting
+    real, mus = shooting._finite_determinant, []
+
+    def counted(mu, steps):
+        mus.append(mu)
+        return real(mu, steps)
+
+    monkeypatch.setattr(shooting, "_finite_determinant", counted)
+    report = verify.check_oracle_agreement(state["grid"], state["spectra"],
+                                           tol=1e-6)
+    assert report["n_eigenvalues"] == 29
+    assert len(mus) == 137
+
+
 def test_criterion_04_degree_parity(state):
     report = verify.check_degree_parity(state["grid"], state["spectra"],
                                         samples_per_sign=25, seed=0)

@@ -155,9 +155,9 @@ def test_branch_command_deterministic_svg(tmp_path):
     out1, out2 = str(tmp_path / "b1"), str(tmp_path / "b2")
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0
-    svg1 = open(os.path.join(out1, "diagram.svg"), "rb").read()
-    svg2 = open(os.path.join(out2, "diagram.svg"), "rb").read()
-    assert svg1 == svg2
+    with open(os.path.join(out1, "diagram.svg"), "rb") as f1, \
+            open(os.path.join(out2, "diagram.svg"), "rb") as f2:
+        assert f1.read() == f2.read()
     manifest = _manifest_checks_out(out1)
     assert any(e["path"].endswith(".csv") for e in manifest["files"])
     # the two sigma halves were written
@@ -216,8 +216,9 @@ def _malformed_files(tmp_path):
     rows[5] = rows[5].split(",")[0] + ",nan"
     (tmp_path / "nan.csv").write_text("\n".join(rows) + "\n")
     (tmp_path / "table.csv").write_text("s,f\n0,0\n1,oops\n")
+    (tmp_path / "identity.csv").write_text("s,f\n-1,-1\n0,0\n1,1\n")
     return {name: str(tmp_path / f"{name}.csv")
-            for name in ("neg", "zero", "nan", "table")}
+            for name in ("neg", "zero", "nan", "table", "identity")}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -244,12 +245,20 @@ def _malformed_files(tmp_path):
     # a first step far beyond the norm budget: ds is capped at the budget,
     # and each branch leaves it in one step
     (["branch", "--ds", "1e299", "--ds-max", "1e300"], 0),
+    # JSON reads 1e400 as inf, which makes f NaN everywhere
+    (["solve", "--gamma", "73.05", "--f-params", '{{"gain": 1e400}}'], 2),
+    # a relative tolerance on an infinite declared slope passes any sample
+    (["solve", "--gamma", "73.05", "--f-table", "{identity}", "--f0", "inf",
+      "--finf", "1"], 2),
+    (["solve", "--gamma", "73.05", "--f-table", "{identity}", "--f0", "1",
+      "--finf", "inf"], 2),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
         "sturm-zero-pairs", "branch-negative-norm-budget", "branch-max-steps-0",
         "branch-max-steps-negative", "branch-k-0", "solve-k-0",
-        "spectrum-kneg-minus-2", "spectrum-weight-directory", "branch-ds-overflow"])
+        "spectrum-kneg-minus-2", "spectrum-weight-directory", "branch-ds-overflow",
+        "solve-infinite-gain", "solve-table-infinite-f0", "solve-table-infinite-finf"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
     argv = [a.format(**files) for a in argv]

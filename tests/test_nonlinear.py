@@ -3,7 +3,7 @@ import pytest
 
 from beamspec import nonlinear
 from beamspec.errors import (AsymptoticMismatch, BoundaryViolation,
-                             SingularJacobian)
+                             SingularJacobian, ValidationError)
 from beamspec.grid import SampledFn, make_grid, sample
 from beamspec.nonlinear import (AsymptoticF, AutonomousProblem,
                                 PerturbedProblem, check_asymptotics,
@@ -147,6 +147,25 @@ def test_check_asymptotics_refuses_a_nan_slope(label, undefined):
 
     with pytest.raises(AsymptoticMismatch, match=f"^{label}: declared 1.0, sampled nan"):
         check_asymptotics(AsymptoticF(f=f, f0=1.0, finf=1.0))
+
+
+@pytest.mark.parametrize("f0, finf, label", [
+    (np.inf, 1.0, "f0"), (1.0, np.inf, "finf"), (np.nan, 1.0, "f0"), (1.0, -np.inf, "finf"),
+], ids=["f0-inf", "finf-inf", "f0-nan", "finf-minus-inf"])
+def test_check_asymptotics_refuses_a_non_finite_declared_slope(f0, finf, label):
+    # |f0_hat - inf| <= 1e-3 * inf holds for any finite estimate, so the
+    # declared slopes are checked before f is sampled at all
+    def f(s):
+        raise AssertionError("f sampled")
+
+    with pytest.raises(AsymptoticMismatch, match=f"^{label}: declared .*positive finite"):
+        check_asymptotics(AsymptoticF(f=f, f0=f0, finf=finf))
+
+
+def test_saturating_f_refuses_a_non_finite_gain():
+    for gain in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValidationError, match="gain must be finite"):
+            saturating_f(gain=gain)
 
 
 def test_newton_fixed_point():

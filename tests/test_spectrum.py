@@ -448,6 +448,35 @@ def test_pencil_shoot_cross_validation(grid800):
         assert mu_x == pytest.approx(mu_shoot, rel=1e-6)
 
 
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_extrapolation_takes_only_eigenvalues_from_the_coarse_grid(name, monkeypatch):
+    # Richardson needs the coarse eigenvalues alone: no eigenvectors and no
+    # nodal classes, with the values of a full coarse pencil
+    fn, grid = WEIGHTS[name], make_grid(600)
+    fine = widest_resolvable_window(sample(fn, grid))
+    coarse_grid = make_grid(300)
+    coarse = eigen_pencil(sample(fn, coarse_grid), len(fine.positive), len(fine.negative))
+    h1, h2 = coarse_grid.h, grid.h
+    expected = [(h1**2 * f.mu - h2**2 * c.mu) / (h1**2 - h2**2)
+                for side, coarse_side in ((fine.positive, coarse.positive),
+                                          (fine.negative, coarse.negative))
+                for f, c in zip(side, coarse_side)]
+
+    def no_profile(phi):
+        raise AssertionError("nodal_profile called")
+
+    def values_only(*args, **kwargs):
+        assert kwargs.get("eigvals_only")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "nodal_profile", no_profile)
+    monkeypatch.setattr(spectrum, "eigh", values_only)
+    _, pos_x, neg_x = eigen_pencil_extrapolated(
+        fn, grid, len(fine.positive), len(fine.negative), fine=fine)
+    assert len(pos_x + neg_x) == len(expected) == len(fine.positive) + len(fine.negative)
+    np.testing.assert_allclose(pos_x + neg_x, expected, rtol=1e-11, atol=0.0)
+
+
 def test_order_by_nodal_accepts_good(spectrum_one800):
     assert order_by_nodal(spectrum_one800)["ok"]
 
