@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .continuation import (TERM_STEP_FAILURE, ContinuationConfig, _spectrum_for,
-                           bifurcation_start, save_branch, solve_nodal, trace_branch)
+from .continuation import (TERM_STEP_FAILURE, ContinuationConfig, bifurcation_start,
+                           save_branch, solve_nodal, trace_branch)
 from .errors import NumericalError, ValidationError
 from .grid import from_csv, make_grid, sample, to_csv
 from .nonlinear import PerturbedProblem, check_asymptotics
@@ -157,7 +157,7 @@ def _cmd_branch(args):
     config = ContinuationConfig(ds=args.ds, ds_max=args.ds_max,
                                 norm_budget=args.norm_budget,
                                 max_steps=args.max_steps)
-    res = _spectrum_for(m, args.k, nu)
+    res = widest_resolvable_window(m)
     branches = []
     for sigma in sigmas:
         start = bifurcation_start(args.k, nu, sigma, spec, res)
@@ -182,7 +182,7 @@ def _cmd_solve(args):
     nu, sigmas = _branch_labels(args)
     config = ContinuationConfig(norm_budget=args.norm_budget,
                                 max_steps=args.max_steps)
-    res = _spectrum_for(m, args.k, nu)
+    res = widest_resolvable_window(m)
     os.makedirs(args.out, exist_ok=True)
     for sigma in sigmas:
         u = solve_nodal(args.gamma, f, m, args.k, nu, sigma, config, res)

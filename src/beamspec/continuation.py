@@ -37,7 +37,7 @@ from .grid import SampledFn, e_norm, from_interior
 from .nodal import nodal_profile
 from .nonlinear import (AutonomousProblem, check_asymptotics, fp_residual,
                         newton)
-from .spectrum import MAX_PAIRS, eigen_pencil
+from .spectrum import widest_resolvable_window
 
 TERM_NORM_BUDGET = "NormBudget"
 TERM_STEP_FAILURE = "StepFailure"
@@ -99,8 +99,13 @@ class Branch:
 
 
 def _point_tol(u0, scale):
-    """Branch-point tolerance for a correction started at u0."""
-    return CORRECTOR_TOL * (1.0 + max(e_norm(u0), scale))
+    """Branch-point tolerance for a correction started at u0; a u0 whose
+    E-norm overflows fails the step, as a non-finite predictor does."""
+    with np.errstate(over="raise"):
+        try:
+            return CORRECTOR_TOL * (1.0 + max(e_norm(u0), scale))
+        except FloatingPointError:
+            raise NoConvergence("the predictor's E-norm overflows") from None
 
 
 def _validate_trivial_line(spec, mu):
@@ -112,17 +117,7 @@ def _validate_trivial_line(spec, mu):
             "source term does not vanish on the trivial line u = 0")
 
 
-def _spectrum_for(m, k, nu, spectrum_result=None):
-    """The given spectrum, or the pencil of sign class nu alone, k + 4 deep."""
-    if spectrum_result is None:
-        window = min(k + 4, MAX_PAIRS)
-        spectrum_result = eigen_pencil(m,
-                                       window if nu > 0 else 0,
-                                       window if nu < 0 else 0)
-    return spectrum_result
-
-
-def bifurcation_start(k, nu, sigma, spec, spectrum_result=None):
+def bifurcation_start(k, nu, sigma, spec, spectrum_result):
     """First nontrivial point of the (k, nu, sigma) half-branch.
 
     Predictor (origin_mu, eps * sigma * phi_k^nu), polished by one
@@ -134,7 +129,6 @@ def bifurcation_start(k, nu, sigma, spec, spectrum_result=None):
     """
     if sigma not in (+1, -1):
         raise ValidationError("sigma must be +1 or -1")
-    spectrum_result = _spectrum_for(spec.m, k, nu, spectrum_result)
     pair = spectrum_result.pair(k, nu)
     if isinstance(spec, AutonomousProblem):
         origin_mu = pair.mu / (spec.gamma * spec.f.f0)
@@ -304,12 +298,14 @@ def solve_nodal(gamma, f, m, k, nu, sigma, config=None, spectrum_result=None):
     between mu_k^nu / f0 and mu_k^nu / finf (either orientation).  Builds
     the mu-parameterized auxiliary problem u'''' = mu gamma m f(u), starts
     the (k, nu, sigma) branch at mu = mu_k^nu / (gamma f0), traces toward
-    the hyperplane mu = 1 and returns the crossing solution.
+    the hyperplane mu = 1 and returns the crossing solution.  Without a
+    spectrum_result, k is looked up in widest_resolvable_window(m).
     """
     _, _, h1_ok = check_asymptotics(f)
     if not h1_ok:
         raise AsymptoticMismatch("sign condition f(s) s > 0 fails on samples")
-    spectrum_result = _spectrum_for(m, k, nu, spectrum_result)
+    if spectrum_result is None:
+        spectrum_result = widest_resolvable_window(m)
     pair = spectrum_result.pair(k, nu)
     lo, hi = admissible_interval(pair.mu, f)
     if not (lo < gamma < hi):
@@ -327,7 +323,7 @@ def solve_nodal_range(gamma, f, m, k_lo, k_hi, nu=+1, config=None):
     gamma must be admissible for every index in the range; the per-index
     check raises GammaNotAdmissible on the first violation.
     """
-    spectrum_result = _spectrum_for(m, k_hi, nu)
+    spectrum_result = widest_resolvable_window(m)
     out = []
     for j in range(k_lo, k_hi + 1):
         plus = solve_nodal(gamma, f, m, j, nu, +1, config, spectrum_result)

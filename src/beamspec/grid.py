@@ -9,11 +9,12 @@ All stencils are second order: centered in the interior, one-sided at the
 endpoints, so every operation has a single O(h^2) convergence story.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, TooCoarse
+from .errors import GridMismatch, TooCoarse, ValidationError
 
 MIN_INTERIOR = 8
 
@@ -156,9 +157,19 @@ def to_csv(u, path):
             fh.write(f"{t:.17g},{v:.17g}\n")
 
 
+def read_rows(path):
+    """The rows below the header line of a CSV file, as a 2-D array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty body is refused below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if len(data) == 0:
+        raise ValidationError(f"{path}: no data rows below the header")
+    return data
+
+
 def from_csv(path):
     """Read a SampledFn written by to_csv; the grid is rebuilt from the t column."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = read_rows(path)
     t, v = data[:, 0], data[:, 1]
     n = len(t) - 2
     grid = make_grid(n)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
+from .grid import read_rows
 from .nonlinear import AsymptoticF, PerturbationG
 
 WEIGHTS = {
@@ -126,7 +127,7 @@ def table_f(path, f0, finf):
     The declared slopes f0, finf are the caller's claim; outside the
     tabulated range f extrapolates linearly with slope finf.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    data = read_rows(path)
     s_tab, f_tab = data[:, 0], data[:, 1]
     order = np.argsort(s_tab)
     s_tab, f_tab = s_tab[order], f_tab[order]

@@ -179,13 +179,41 @@ def test_branch_outputs_reproducible(tmp_path):
 
 
 def test_branch_certifies_only_the_traced_sign_class(tmp_path):
-    # k = 7 lies in the positive class of sin3pi; the negative class cannot
-    # be certified 11 pairs deep at n = 300 and must not be asked for
+    # k = 7 lies in the positive class of sin3pi; at n = 300 the window cuts
+    # the negative class after 9 pairs, which must not stop a positive branch
     out = str(tmp_path / "b")
     assert run(["branch", "--n", "300", "--weight", "sin3pi", "--k", "7",
                 "--nu", "+", "--max-steps", "3", "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "branch_k7_p_p.json"))
     assert os.path.exists(os.path.join(out, "branch_k7_p_n.json"))
+
+
+@pytest.mark.parametrize("nu", ["+", "-"])
+def test_branch_starts_from_every_certified_pair(tmp_path, nu):
+    # k = 5 is the third pair of linear_ramp on either side, and the ninth
+    # pair of each side is uncertifiable at n = 300: the lookup stays short of it
+    out = str(tmp_path / "b")
+    assert run(["branch", "--n", "300", "--weight", "linear_ramp", "--k", "5",
+                "--nu", nu, "--max-steps", "3", "--out", out]) == 0
+    side = "p" if nu == "+" else "n"
+    assert os.path.exists(os.path.join(out, f"branch_k5_{side}_p.json"))
+    assert os.path.exists(os.path.join(out, f"branch_k5_{side}_n.json"))
+
+
+@pytest.mark.parametrize("weight, k", [("linear_ramp", 14), ("one", 13)],
+                         ids=["cut-before-an-uncertifiable-pair", "cut-at-12-pairs"])
+def test_k_outside_the_window_is_refused(tmp_path, capsys, weight, k):
+    from beamspec.grid import make_grid, sample
+    from beamspec.presets import WEIGHTS
+    from beamspec.spectrum import widest_resolvable_window
+    certified = [p.k for p in widest_resolvable_window(
+        sample(WEIGHTS[weight], make_grid(300))).positive]
+    assert k not in certified
+    assert run(["branch", "--n", "300", "--weight", weight, "--k", str(k),
+                "--max-steps", "3", "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotInWeightClass: ")
+    assert f"(present nodal indices: {certified})" in err
 
 
 def test_usage_and_validation_exit_codes(tmp_path):
@@ -217,8 +245,10 @@ def _malformed_files(tmp_path):
     (tmp_path / "nan.csv").write_text("\n".join(rows) + "\n")
     (tmp_path / "table.csv").write_text("s,f\n0,0\n1,oops\n")
     (tmp_path / "identity.csv").write_text("s,f\n-1,-1\n0,0\n1,1\n")
+    (tmp_path / "header.csv").write_text("t,value\n")
+    (tmp_path / "onerow.csv").write_text("t,value\n0,0\n")
     return {name: str(tmp_path / f"{name}.csv")
-            for name in ("neg", "zero", "nan", "table", "identity")}
+            for name in ("neg", "zero", "nan", "table", "identity", "header", "onerow")}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -252,13 +282,21 @@ def _malformed_files(tmp_path):
       "--finf", "1"], 2),
     (["solve", "--gamma", "73.05", "--f-table", "{identity}", "--f0", "1",
       "--finf", "inf"], 2),
+    # a predictor whose E-norm overflows fails its step, and ds halves
+    (["branch", "--norm-budget", "1e308", "--ds", "1e307", "--ds-max", "1e308",
+      "--sigma", "+"], 3),
+    (["branch", "--weight", "{header}"], 2),
+    (["branch", "--weight", "{onerow}"], 2),
+    (["solve", "--gamma", "73.05", "--f-table", "{header}"], 2),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
         "sturm-zero-pairs", "branch-negative-norm-budget", "branch-max-steps-0",
         "branch-max-steps-negative", "branch-k-0", "solve-k-0",
         "spectrum-kneg-minus-2", "spectrum-weight-directory", "branch-ds-overflow",
-        "solve-infinite-gain", "solve-table-infinite-f0", "solve-table-infinite-finf"])
+        "solve-infinite-gain", "solve-table-infinite-f0", "solve-table-infinite-finf",
+        "branch-enorm-overflow", "branch-header-only-weight", "branch-one-row-weight",
+        "solve-header-only-table"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
     argv = [a.format(**files) for a in argv]
@@ -267,8 +305,9 @@ def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
         assert run(argv + ["--n", "300", "--out", str(tmp_path / "out")]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
-    # numpy's overflow warnings would name library internals to the user
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    # numpy's overflow and empty-input warnings would name library
+    # internals to the user
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("module", ["beamspec", "beamspec.cli"])

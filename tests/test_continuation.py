@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from beamspec.nonlinear import (AutonomousProblem, PerturbedProblem,
 from beamspec.presets import (WEIGHTS, cubic_perturbation, linear_f,
                               saturating_f, zero_perturbation)
 from beamspec.shooting import shoot_nodal_solution
-from beamspec.spectrum import eigen_pencil
+from beamspec.spectrum import eigen_pencil, widest_resolvable_window
 
 N = 400
 
@@ -353,6 +354,18 @@ def test_unpopulated_class_is_reported():
     f = saturating_f()
     with pytest.raises(NotInWeightClass):
         solve_nodal(100.0, f, ramp, 2, +1, +1)
+
+
+@pytest.mark.parametrize("nu", [+1, -1])
+def test_solve_nodal_looks_k_up_in_the_window(nu):
+    # k = 5 is the third pair of the ramp on either side; the gamma check
+    # after the lookup is the first refusal
+    g = make_grid(N)
+    ramp = sample(lambda t: 1.0 - 2.0 * t, g)
+    f = saturating_f()
+    mu = widest_resolvable_window(ramp).pair(5, nu).mu
+    with pytest.raises(GammaNotAdmissible, match=re.escape(f"for k=5, nu={nu:+d}")):
+        solve_nodal(0.25 * mu, f, ramp, 5, nu, +1)
 
 
 def test_admissible_interval_orientation():
