@@ -2,8 +2,9 @@
 
 Subcommands: spectrum, degree, sturm, branch, solve, verify-all.  Every
 run writes its outputs plus a manifest.json (inputs, versions, sha256
-checksums) into the output directory.  Exit codes: 0 success, 1 usage,
-2 hypothesis/validation error, 3 numerical failure.
+checksums of the files the run wrote) into the output directory: each
+command returns its exit code and the paths it wrote.  Exit codes:
+0 success, 1 usage, 2 hypothesis/validation error, 3 numerical failure.
 """
 
 import argparse
@@ -58,16 +59,13 @@ def _nonlinearity_arg(args):
     return asymptotic_f(args.f, **params)
 
 
-def _write_manifest(outdir, command, config):
+def _write_manifest(outdir, command, config, paths):
+    """manifest.json with the checksums of exactly the files in paths."""
     files = []
-    for root, _, names in os.walk(outdir):
-        for name in sorted(names):
-            if name == "manifest.json":
-                continue
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            files.append({"path": os.path.relpath(path, outdir), "sha256": digest})
+    for path in paths:
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        files.append({"path": os.path.relpath(path, outdir), "sha256": digest})
     manifest = {
         "command": command,
         "config": config,
@@ -98,12 +96,13 @@ def _cmd_spectrum(args):
             ref = f"phi_{'pos' if p.nu > 0 else 'neg'}_k{p.k}.csv"
             to_csv(p.phi, os.path.join(args.out, ref))
             refs[(p.k, p.nu)] = ref
-    with open(os.path.join(args.out, "spectrum.json"), "w") as fh:
+    path = os.path.join(args.out, "spectrum.json")
+    with open(path, "w") as fh:
         json.dump(res.to_json(weight_id=weight_id, phi_refs=refs), fh,
                   indent=2, sort_keys=True)
     print(f"wrote spectrum.json with {len(res.positive)} positive and "
           f"{len(res.negative)} negative pairs")
-    return 0
+    return 0, [path] + [os.path.join(args.out, ref) for ref in refs.values()]
 
 
 def _cmd_degree(args):
@@ -118,7 +117,8 @@ def _cmd_degree(args):
                              args.samples - args.samples // 2)
     rep = degree_parity_sweep(m, samples, spectrum_result=res)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "degree_parity.json"), "w") as fh:
+    path = os.path.join(args.out, "degree_parity.json")
+    with open(path, "w") as fh:
         json.dump({"weight_id": weight_id, "n": args.n, "seed": args.seed,
                    "all_match": rep["all_match"], "rows": rep["rows"]},
                   fh, indent=2, sort_keys=True)
@@ -127,18 +127,19 @@ def _cmd_degree(args):
     for row in rep["rows"]:
         print(f"  mu={row['mu']: .6g}  det={row['det_sign']:+d}  "
               f"count={row['count']}  match={row['match']}")
-    return 0 if rep["all_match"] else 3
+    return (0 if rep["all_match"] else 3), [path]
 
 
 def _cmd_sturm(args):
     rep = check_sturm_suite(n=args.n, n_pairs=args.pairs, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "sturm_suite.json"), "w") as fh:
+    path = os.path.join(args.out, "sturm_suite.json")
+    with open(path, "w") as fh:
         json.dump(rep, fh, indent=2, sort_keys=True)
     print(f"{rep['pairs']} pairs, failures: {rep['failures']}, "
           f"controls failed as expected: "
           f"{rep['control_a_failed'] and rep['control_b_failed']}")
-    return 0 if rep["passed"] else 3
+    return (0 if rep["passed"] else 3), [path]
 
 
 def _branch_labels(args):
@@ -164,14 +165,16 @@ def _cmd_branch(args):
         branches.append(trace_branch(start, spec, config))
     os.makedirs(args.out, exist_ok=True)
     failed = False
+    svg = os.path.join(args.out, "diagram.svg")
+    paths = [svg]
     for sigma, br in zip(sigmas, branches):
         name = f"branch_k{args.k}_{'p' if nu > 0 else 'n'}_{'p' if sigma > 0 else 'n'}"
-        save_branch(br, args.out, basename=name)
+        paths += save_branch(br, args.out, basename=name)
         print(f"{name}: {len(br.points)} points, termination {br.termination}")
         failed = failed or br.termination == TERM_STEP_FAILURE
-    with open(os.path.join(args.out, "diagram.svg"), "w") as fh:
+    with open(svg, "w") as fh:
         fh.write(render_diagram(branches))
-    return 3 if failed else 0
+    return (3 if failed else 0), paths
 
 
 def _cmd_solve(args):
@@ -184,32 +187,31 @@ def _cmd_solve(args):
                                 max_steps=args.max_steps)
     res = widest_resolvable_window(m)
     os.makedirs(args.out, exist_ok=True)
+    paths = []
     for sigma in sigmas:
         u = solve_nodal(args.gamma, f, m, args.k, nu, sigma, config, res)
         name = f"solution_k{args.k}_{'p' if nu > 0 else 'n'}_{'p' if sigma > 0 else 'n'}.csv"
-        to_csv(u, os.path.join(args.out, name))
+        path = os.path.join(args.out, name)
+        to_csv(u, path)
+        paths.append(path)
         print(f"wrote {name} (max |u| = {np.max(np.abs(u.values)):.6g})")
-    return 0
+    return 0, paths
 
 
 def _cmd_verify_all(args):
     os.makedirs(args.out, exist_ok=True)
-    lines = []
-
-    def printer(line):
-        lines.append(line)
-        print(line)
-
-    reports, branches = verify_all(n=args.n, seed=args.seed, printer=printer)
-    with open(os.path.join(args.out, "verify_report.json"), "w") as fh:
+    reports, branches = verify_all(n=args.n, seed=args.seed)
+    report = os.path.join(args.out, "verify_report.json")
+    svg = os.path.join(args.out, "diagram.svg")
+    with open(report, "w") as fh:
         json.dump({"n": args.n, "seed": args.seed,
                    "criteria": [{"criterion": r["criterion"],
                                  "label": LABELS[r["criterion"]],
                                  "passed": bool(r["passed"])} for r in reports]},
                   fh, indent=2, sort_keys=True)
-    with open(os.path.join(args.out, "diagram.svg"), "w") as fh:
+    with open(svg, "w") as fh:
         fh.write(render_diagram(branches))
-    return 0 if all(r["passed"] for r in reports) else 3
+    return (0 if all(r["passed"] for r in reports) else 3), [report, svg]
 
 
 def build_parser():
@@ -300,16 +302,14 @@ def run(argv=None):
         if not os.path.isdir(anc):
             where = "" if anc == out else f" is under '{anc}', which"
             raise ValidationError(f"--out '{args.out}'{where} exists and is not a directory")
-        code = args.fn(args)
+        code, paths = args.fn(args)
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if code == 0 or code == 3:
-        if os.path.isdir(args.out):
-            _write_manifest(args.out, args.command, config)
+    _write_manifest(args.out, args.command, config, paths)
     return code
 
 

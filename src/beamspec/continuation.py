@@ -333,7 +333,8 @@ def solve_nodal_range(gamma, f, m, k_lo, k_hi, nu=+1, config=None):
 
 
 def save_branch(branch, outdir, basename):
-    """Write <basename>.csv, per-point solution CSVs, and a <basename>.json manifest."""
+    """Write <basename>.csv, per-point solution CSVs, and a <basename>.json
+    manifest; return the paths written."""
     import json
     import os
 
@@ -343,23 +344,23 @@ def save_branch(branch, outdir, basename):
     rows_path = os.path.join(outdir, f"{basename}.csv")
     side_dir = os.path.join(outdir, f"{basename}_points")
     os.makedirs(side_dir, exist_ok=True)
-    point_files = []
+    point_paths = []
     with open(rows_path, "w") as fh:
         fh.write("step,arclength,mu,enorm,count,sigma\n")
         for i, p in enumerate(branch.points):
             fh.write(f"{i},{p.arclength:.17g},{p.mu:.17g},"
                      f"{p.norm:.17g},{p.profile.count},"
                      f"{p.profile.sigma:+d}\n")
-            pf = os.path.join(side_dir, f"point_{i:04d}.csv")
-            to_csv(p.u, pf)
-            point_files.append(os.path.relpath(pf, outdir))
+            point_paths.append(os.path.join(side_dir, f"point_{i:04d}.csv"))
+            to_csv(p.u, point_paths[-1])
     manifest = {
         "k": branch.k, "nu": branch.nu, "sigma": branch.sigma,
         "origin_mu": branch.origin_mu, "termination": branch.termination,
         "flags": list(branch.flags),
-        "table": os.path.basename(rows_path), "points": point_files,
+        "table": os.path.basename(rows_path),
+        "points": [os.path.relpath(pf, outdir) for pf in point_paths],
     }
     man_path = os.path.join(outdir, f"{basename}.json")
     with open(man_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    return man_path
+    return [rows_path, man_path] + point_paths

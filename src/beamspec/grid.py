@@ -170,9 +170,11 @@ def read_rows(path):
 def from_csv(path):
     """Read a SampledFn written by to_csv; the grid is rebuilt from the t column."""
     data = read_rows(path)
+    if len(data) < MIN_INTERIOR + 2:
+        raise TooCoarse(f"{path}: need at least {MIN_INTERIOR + 2} data rows "
+                        f"({MIN_INTERIOR} interior nodes and 2 endpoints), got {len(data)}")
     t, v = data[:, 0], data[:, 1]
-    n = len(t) - 2
-    grid = make_grid(n)
+    grid = make_grid(len(t) - 2)
     if not np.allclose(t, grid.nodes, atol=1e-12):
         raise GridMismatch(f"{path}: t column is not the uniform grid on [0, 1]")
     return SampledFn(grid, v)

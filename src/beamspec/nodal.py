@@ -16,7 +16,6 @@ a grid spacing merge into one zero at the first location, a touch when
 any of them is one; nodal_profile reads the kinds.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,33 +91,6 @@ def _interp_linear(grid, values, t):
     return (1.0 - frac) * values[j] + frac * values[j + 1]
 
 
-def _quadratic_root(ts, vs, lo, hi):
-    """Root of the parabola through three equispaced points, inside [lo, hi].
-
-    In units of the spacing about the middle point the parabola is
-    a s^2 + b s + c; its roots are q / a and c / q with
-    q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2, which avoids the cancellation
-    of the textbook formula.  A straight line (a = 0) has its one root.
-    Of the roots inside [lo, hi] the one nearest its midpoint is returned.
-    """
-    v0, v1, v2 = (float(v) for v in vs)
-    mid, h = float(ts[1]), 0.5 * float(ts[2] - ts[0])
-    a, b, c = 0.5 * (v0 - 2.0 * v1 + v2), 0.5 * (v2 - v0), v1
-    if a == 0.0:
-        roots = [-c / b] if b != 0.0 else []
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return None
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        # q = 0 only for b = disc = 0, the double root s = 0
-        roots = [q / a, c / q] if q != 0.0 else [0.0]
-    inside = [r for r in (mid + s * h for s in roots) if lo <= r <= hi]
-    if inside:
-        return min(inside, key=lambda r: abs(r - 0.5 * (lo + hi)))
-    return None
-
-
 def _local_window(grid, t):
     """Node slice about t of half-width max(4 h, 0.01), clipped to the grid."""
     half = max(4 * grid.h, 0.01)
@@ -144,19 +116,14 @@ def _scan(u, fields):
     h = u.grid.h
     av = np.abs(v)
     vmax = np.max(av)
-    zeros = []
 
-    # sign changes between interior node pairs (j, j + 1), j = 1 .. n - 1
+    # sign changes between interior node pairs (j, j + 1), j = 1 .. n - 1,
+    # each located by the secant of its two samples
     pairs = ((np.maximum(av[1:-2], av[2:-1]) >= NOISE_TOL * vmax)
              & (v[1:-2] * v[2:-1] < 0.0))
-    for j in (np.flatnonzero(pairs) + 1).tolist():
-        if abs(v[j]) <= abs(v[j + 1]):
-            root = _quadratic_root(t[j - 1:j + 2], v[j - 1:j + 2], t[j], t[j + 1])
-        else:
-            root = _quadratic_root(t[j:j + 3], v[j:j + 3], t[j], t[j + 1])
-        if root is None:
-            root = t[j] - v[j] * (t[j + 1] - t[j]) / (v[j + 1] - v[j])
-        zeros.append((root, False))
+    j = np.flatnonzero(pairs) + 1
+    roots = t[j] - v[j] * (t[j + 1] - t[j]) / (v[j + 1] - v[j])
+    zeros = [(z, False) for z in roots.tolist()]
 
     # near-zero nodes: crossings that hit a node, and touch candidates;
     # both need flanking samples above the float-noise floor, otherwise
@@ -204,8 +171,8 @@ def find_zeros(u):
     """Locations of interior zeros of u.
 
     Whole-grid masks pick the candidates, and only candidates get scalar
-    work: each sign change of consecutive interior samples is refined by
-    local quadratic interpolation, and each near-zero node (|u| below
+    work: each sign change of consecutive interior samples is located by
+    the secant of its two samples, and each near-zero node (|u| below
     TOUCH_TOL * max|u|, a flank above NOISE_TOL * max|u|) is a crossing
     that hit the node or, between same-sign neighbours, a touch-zero;
     that is where each zero's kind is decided.  Endpoint zeros are

@@ -23,6 +23,13 @@ def _manifest_checks_out(outdir):
     return manifest
 
 
+def _tree(outdir):
+    """Sorted paths of the files under outdir, manifest.json left out."""
+    return sorted(os.path.relpath(os.path.join(root, name), outdir)
+                  for root, _, names in os.walk(outdir) for name in names
+                  if name != "manifest.json")
+
+
 def test_spectrum_command(tmp_path):
     out = str(tmp_path / "spec")
     code = run(["spectrum", "--weight", "one", "--n", "400", "--kmax", "3",
@@ -160,6 +167,8 @@ def test_branch_command_deterministic_svg(tmp_path):
         assert f1.read() == f2.read()
     manifest = _manifest_checks_out(out1)
     assert any(e["path"].endswith(".csv") for e in manifest["files"])
+    # in a fresh directory the manifest covers every file the run left
+    assert [e["path"] for e in manifest["files"]] == _tree(out1)
     # the two sigma halves were written
     assert os.path.exists(os.path.join(out1, "branch_k1_p_p.json"))
     assert os.path.exists(os.path.join(out1, "branch_k1_p_n.json"))
@@ -176,6 +185,20 @@ def test_branch_outputs_reproducible(tmp_path):
     m1 = _manifest_checks_out(out1)
     m2 = _manifest_checks_out(out2)
     assert [e["sha256"] for e in m1["files"]] == [e["sha256"] for e in m2["files"]]
+
+
+def test_manifest_lists_only_the_files_of_its_run(tmp_path):
+    # a second run into the same directory writes fewer pairs, next to a
+    # stray file: its manifest checksums what it wrote and nothing else
+    out = tmp_path / "d"
+    assert run(["spectrum", "--n", "40", "--kmax", "3", "--out", str(out)]) == 0
+    assert [e["path"] for e in _manifest_checks_out(out)["files"]] == _tree(out)
+    (out / "notes.txt").write_text("not an output\n")
+    assert run(["spectrum", "--n", "40", "--kmax", "1", "--out", str(out)]) == 0
+    manifest = _manifest_checks_out(out)
+    assert manifest["config"]["kmax"] == 1
+    assert [e["path"] for e in manifest["files"]] == ["phi_pos_k1.csv", "spectrum.json"]
+    assert "phi_pos_k3.csv" in _tree(out)
 
 
 def test_branch_certifies_only_the_traced_sign_class(tmp_path):
@@ -232,6 +255,39 @@ def test_spectrum_rejects_impossible_weight(tmp_path):
     code = run(["spectrum", "--weight", str(path), "--n", "300", "--kmax", "2",
                 "--out", str(tmp_path / "y")])
     assert code == 2
+
+
+@pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-row"])
+def test_short_weight_csv_names_its_rows(tmp_path, capsys, rows):
+    path = tmp_path / "short.csv"
+    path.write_text("t,value\n" + "".join(f"{i / (rows + 1)},1\n" for i in range(rows)))
+    assert run(["branch", "--n", "300", "--weight", str(path),
+                "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: TooCoarse: {path}: need at least 10 data rows "
+        f"(8 interior nodes and 2 endpoints), got {rows}\n")
+
+
+def test_verify_all_writes_its_report_and_exits_3_on_a_failure(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from beamspec import cli
+    reports = [{"criterion": c, "passed": c != 4} for c in range(1, 11)]
+    branch = SimpleNamespace(k=1, nu=+1, sigma=+1, origin_mu=97.4,
+                             points=[SimpleNamespace(mu=97.0, norm=0.5)])
+    calls = []
+    monkeypatch.setattr(cli, "verify_all",
+                        lambda **kw: calls.append(kw) or (reports, [branch]))
+    out = tmp_path / "v"
+    assert run(["verify-all", "--n", "60", "--seed", "7", "--out", str(out)]) == 3
+    assert calls == [{"n": 60, "seed": 7}]
+    with open(out / "verify_report.json") as fh:
+        blob = json.load(fh)
+    assert (blob["n"], blob["seed"]) == (60, 7)
+    assert blob["criteria"] == [{"criterion": c, "label": cli.LABELS[c],
+                                 "passed": c != 4} for c in range(1, 11)]
+    manifest = _manifest_checks_out(out)
+    assert [e["path"] for e in manifest["files"]] == ["diagram.svg", "verify_report.json"]
 
 
 def _malformed_files(tmp_path):

@@ -10,7 +10,7 @@ from beamspec.continuation import (GROW_FACTOR, ContinuationConfig,
                                    admissible_interval, bifurcation_start,
                                    cross_hyperplane, solve_nodal, trace_branch)
 from beamspec.errors import (GammaNotAdmissible, NoConvergence, NoCrossing,
-                             NotInWeightClass)
+                             NotInWeightClass, StartFailure)
 from beamspec.grid import e_norm, interior_dot, make_grid, sample
 from beamspec.linops import SecondDiffOperator, _MixedLU
 from beamspec.nodal import nodal_profile
@@ -51,6 +51,24 @@ def test_start_sign_convention(setup):
     vmax = np.max(np.abs(start.u.values))
     lead = start.u.interior[np.abs(start.u.interior) > 1e-6 * vmax][0]
     assert lead < 0
+
+
+def test_start_gives_up_after_eight_halvings(setup, monkeypatch):
+    # a corrector that never converges: the polish is tried at eps and at
+    # eight halvings of it, then the last failure is reported
+    g, one, res = setup
+    calls = []
+
+    def failing(u0, mu0, *args, **kwargs):
+        calls.append(e_norm(u0))
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(continuation, "newton", failing)
+    spec = PerturbedProblem(m=one, g=zero_perturbation())
+    with pytest.raises(StartFailure, match=r"after 8 halvings: forced$"):
+        bifurcation_start(1, +1, +1, spec, res)
+    assert len(calls) == 9
+    assert calls[-1] == pytest.approx(calls[0] / 2**8, rel=1e-12)
 
 
 def test_start_cubic_tilt_rayleigh_oracle(setup, monkeypatch):

@@ -5,10 +5,9 @@ import pytest
 
 from beamspec.errors import OutOfDomain, TrivialFunction
 from beamspec.grid import SampledFn, derivative, e_norm, make_grid, sample
-import beamspec.nodal as nodal
 from beamspec.nodal import (GENERALIZED_DOUBLE, GENERALIZED_SIMPLE, NOISE_TOL,
-                            TOUCH_TOL, TRIVIAL_TOL, _quadratic_root,
-                            classify_zero, find_zeros, nodal_profile)
+                            TOUCH_TOL, TRIVIAL_TOL, classify_zero, find_zeros,
+                            nodal_profile)
 from beamspec.presets import WEIGHTS
 from beamspec.spectrum import widest_resolvable_window
 
@@ -191,14 +190,7 @@ def _find_zeros_loop(u):
         if max(abs(v[j]), abs(v[j + 1])) < NOISE_TOL * vmax:
             continue
         if v[j] * v[j + 1] < 0.0:
-            root = None
-            if abs(v[j]) <= abs(v[j + 1]):
-                root = _quadratic_root(t[j - 1:j + 2], v[j - 1:j + 2], t[j], t[j + 1])
-            elif j + 2 < len(v):
-                root = _quadratic_root(t[j:j + 3], v[j:j + 3], t[j], t[j + 1])
-            if root is None:
-                root = t[j] - v[j] * (t[j + 1] - t[j]) / (v[j + 1] - v[j])
-            zeros.append(root)
+            zeros.append(t[j] - v[j] * (t[j + 1] - t[j]) / (v[j + 1] - v[j]))
 
     # near-zero nodes: crossings that hit a node, and touch candidates;
     # both need flanking samples above the float-noise floor, otherwise
@@ -276,7 +268,7 @@ def test_find_zeros_matches_loop_on_node_crossing():
 
 def test_find_zeros_matches_loop_refined_from_either_side():
     # on n = 799 the root 1/3 sits nearer its right sample and 2/3 nearer
-    # its left one, so both quadratic stencils are used
+    # its left one; the secant is the same from either side
     g = make_grid(799)
     u = sample(lambda t: np.sin(3 * np.pi * t), g)
     zeros = find_zeros(u)
@@ -311,52 +303,3 @@ def test_find_zeros_ignores_sign_flips_below_noise():
     zeros = find_zeros(u)
     assert zeros == _find_zeros_loop(u)
     assert all(z <= 0.6 + g.h for z in zeros)
-
-
-def _quadratic_root_polyfit(ts, vs, lo, hi):
-    # reference: least-squares fit of the parabola and companion-matrix roots
-    c = np.polyfit(ts - ts[1], vs, 2)
-    roots = np.roots(c) + ts[1]
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and lo <= r.real <= hi]
-    if real:
-        return min(real, key=lambda r: abs(r - 0.5 * (lo + hi)))
-    return None
-
-
-@pytest.mark.parametrize("name", sorted(WEIGHTS))
-def test_quadratic_root_matches_polyfit_on_eigenfunctions(name, windows300, monkeypatch):
-    # every parabola find_zeros refines on the window's eigenfunctions: the
-    # closed form finds a root exactly when the fit does, within 1e-12 h
-    res = windows300[name]
-    calls = []
-
-    def spy(ts, vs, lo, hi):
-        calls.append((ts.copy(), vs.copy(), lo, hi))
-        return _quadratic_root(ts, vs, lo, hi)
-
-    monkeypatch.setattr(nodal, "_quadratic_root", spy)
-    for pair in res.positive + res.negative:
-        find_zeros(pair.phi)
-    assert calls
-    for args in calls:
-        got, ref = _quadratic_root(*args), _quadratic_root_polyfit(*args)
-        assert (got is None) == (ref is None)
-        if got is not None:
-            assert abs(got - ref) <= 1e-12 * res.grid.h
-
-
-def test_quadratic_root_of_a_straight_line():
-    # three collinear samples: the parabola degenerates to its chord
-    ts = np.array([0.1, 0.2, 0.3])
-    assert _quadratic_root(ts, np.array([-1.0, 0.0, 1.0]), 0.1, 0.3) == 0.2
-    assert _quadratic_root(ts, np.array([1.0, 1.0, 1.0]), 0.1, 0.3) is None
-
-
-def test_quadratic_root_next_to_a_far_root():
-    # p(s) = 1e-9 (s - 1/4)(s - 1e9) is nearly a line: the textbook formula
-    # would cancel -b against sqrt(b^2 - 4ac) and lose about eight digits
-    h = 1e-3
-    ts = 0.5 + h * np.array([-1.0, 0.0, 1.0])
-    vs = np.array([1e-9 * (s - 0.25) * (s - 1e9) for s in (-1.0, 0.0, 1.0)])
-    root = _quadratic_root(ts, vs, ts[1], ts[2])
-    assert abs(root - (0.5 + 0.25 * h)) <= 1e-12 * h

@@ -164,6 +164,22 @@ def test_unresolvable_window_raises_and_fallback_shrinks():
                          "NodalOrderPermuted:negative", "NodalIndexGaps:negative")
 
 
+def test_repeated_nodal_index_raises_and_cuts_the_window(monkeypatch):
+    # every profile is made to read zero interior zeros, so ranks 1 and 2
+    # both claim k = 1: the pencil refuses and the window keeps rank 1
+    import dataclasses
+    real = spectrum.nodal_profile
+    monkeypatch.setattr(spectrum, "nodal_profile", lambda u: dataclasses.replace(
+        real(u), count=0, zeros=()))
+    m = sample(lambda t: np.ones_like(t), make_grid(100))
+    with pytest.raises(NodalMismatch, match=r"both show 0 zeros; grid n=100 too coarse"):
+        eigen_pencil(m, 3, 0)
+    res = widest_resolvable_window(m)
+    assert [(p.k, p.rank) for p in res.positive] == [(1, 1)]
+    # a cut before an uncertifiable pair is a window, not a truncation
+    assert res.negative == () and res.flags == ()
+
+
 def test_eigen_shoot_analytic():
     one = lambda t: np.ones_like(np.asarray(t, dtype=float))
     mu1 = shoot_eigenvalue(one, (90.0, 110.0))
