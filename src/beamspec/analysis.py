@@ -19,7 +19,6 @@ from .errors import HypothesisViolated, NotInWeightClass
 from .grid import SampledFn, e_norm
 from .linops import det_sign_psi, lambda2
 from .nodal import find_zeros
-from .spectrum import eigen_pencil
 
 
 def parity_samples(spectrum_result, rng, n_pos, n_neg):
@@ -97,19 +96,13 @@ def sturm_check(b1, b2, u1, u2, residual_tol=1e-6):
     return {"count1": c1, "count2": c2, "pass": c2 >= c1 + 1}
 
 
-def spacing_check(j_max=8, n=2000, tol=1e-3):
+def spacing_check(result, tol):
     """Zero gaps of the constant-coefficient eigenfunctions.
 
-    For u'''' = lambda u the eigenfunction of nodal index j is sin(j pi t),
-    so consecutive zeros (endpoints included) are 1/j apart.  Checks every
-    gap for j = 1..j_max against 1/j within tol.
+    For a window result of a constant positive weight, the eigenfunction of
+    nodal index j is sin(j pi t), so consecutive zeros (endpoints included)
+    are 1/j apart; every gap of every positive pair must match within tol.
     """
-    from .grid import make_grid, sample
-    if j_max > 8:
-        raise ValueError("spacing check supports j_max <= 8")
-    grid = make_grid(n)
-    one = sample(lambda t: np.ones_like(t), grid)
-    result = eigen_pencil(one, j_max, 0)
     rows = []
     for p in result.positive:
         zeros = [0.0] + find_zeros(p.phi) + [1.0]

@@ -26,6 +26,8 @@ from .render import render_diagram
 from .spectrum import eigen_pencil, widest_resolvable_window
 from .verify import LABELS, check_sturm_suite, verify_all
 
+MAX_SAMPLES = 10_000  # degree draws its samples at once, one determinant each
+
 
 def _weight_arg(name_or_path, grid):
     """Built-in weight name, or a CSV path of (t, value) samples."""
@@ -108,8 +110,9 @@ def _cmd_spectrum(args):
 def _cmd_degree(args):
     from .analysis import degree_parity_sweep, parity_samples
     grid = make_grid(args.n)
-    if args.samples < 1:
-        raise ValidationError(f"--samples must be positive, got {args.samples}")
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ValidationError(
+            f"--samples must lie in 1..{MAX_SAMPLES}, got {args.samples}")
     m, weight_id = _weight_arg(args.weight, grid)
     res = widest_resolvable_window(m)
     rng = np.random.default_rng(args.seed)
@@ -237,7 +240,8 @@ def build_parser():
     sp = sub.add_parser("degree", help="degree parity sweep")
     common(sp)
     sp.add_argument("--weight", default="one")
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=int, default=50,
+                    help=f"parity samples, at most {MAX_SAMPLES}")
     sp.set_defaults(fn=_cmd_degree)
 
     sp = sub.add_parser("sturm", help="randomized comparison-theorem suite")

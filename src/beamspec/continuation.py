@@ -317,13 +317,14 @@ def solve_nodal(gamma, f, m, k, nu, sigma, config=None, spectrum_result=None):
     return cross_hyperplane(branch, spec)
 
 
-def solve_nodal_range(gamma, f, m, k_lo, k_hi, nu=+1, config=None):
+def solve_nodal_range(gamma, f, spectrum_result, k_lo, k_hi, nu=+1, config=None):
     """Pairs (u_j^+, u_j^-) for every nodal index j in k_lo..k_hi.
 
+    The weight and every pair j come from the window spectrum_result.
     gamma must be admissible for every index in the range; the per-index
     check raises GammaNotAdmissible on the first violation.
     """
-    spectrum_result = widest_resolvable_window(m)
+    m = spectrum_result.weight
     out = []
     for j in range(k_lo, k_hi + 1):
         plus = solve_nodal(gamma, f, m, j, nu, +1, config, spectrum_result)

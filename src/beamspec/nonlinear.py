@@ -254,8 +254,9 @@ def check_asymptotics(f):
     f0_hat averages f(s)/s over s = +-1e-7, finf_hat over s = +-1e6;
     h1_ok is min of f(s) s > 0 over log-spaced s of both signs.  Raises
     AsymptoticMismatch when a declared slope is not positive and finite,
-    before f is sampled, and when a declared slope is off by more than
-    SLOPE_RTOL relative or its estimate is not a number.
+    before f is sampled, when a declared slope is off by more than
+    SLOPE_RTOL relative or its estimate is not a number, and on a
+    non-finite sample of f.
     """
     for declared, label in ((f.f0, "f0"), (f.finf, "finf")):
         # a relative tolerance on an infinite slope would pass any estimate
@@ -265,12 +266,18 @@ def check_asymptotics(f):
 
     def ratio(s):
         return f.f(s) / s
-    f0_hat = 0.5 * (ratio(1e-7) + ratio(-1e-7))
-    finf_hat = 0.5 * (ratio(1e6) + ratio(-1e6))
+    # a huge slope overflows the samples: refused by name, not warned about
     s_grid = np.concatenate([np.logspace(-7, 6, 40), -np.logspace(-7, 6, 40)])
-    h1_ok = bool(np.min(f.f(s_grid) * s_grid) > 0.0)
+    with np.errstate(all="ignore"):
+        f0_hat = 0.5 * (ratio(1e-7) + ratio(-1e-7))
+        finf_hat = 0.5 * (ratio(1e6) + ratio(-1e6))
+        f_grid = f.f(s_grid)
+        h1_ok = bool(np.min(f_grid * s_grid) > 0.0)
     for declared, measured, label in ((f.f0, f0_hat, "f0"), (f.finf, finf_hat, "finf")):
         if not abs(measured - declared) <= SLOPE_RTOL * declared:
             raise AsymptoticMismatch(
                 f"{label}: declared {declared}, sampled {measured:.6g}")
+    if not np.all(np.isfinite(f_grid)):
+        raise AsymptoticMismatch(
+            f"sample f({s_grid[~np.isfinite(f_grid)][0]:g}) is not finite")
     return f0_hat, finf_hat, h1_ok

@@ -24,12 +24,16 @@ WEIGHTS = {
 }
 
 
-def weight(name):
+def _builtin(table, kind, name):
     try:
-        return WEIGHTS[name]
+        return table[name]
     except KeyError:
         raise ValidationError(
-            f"unknown weight '{name}'; built-ins: {sorted(WEIGHTS)}") from None
+            f"unknown {kind} '{name}'; built-ins: {sorted(table)}") from None
+
+
+def weight(name):
+    return _builtin(WEIGHTS, "weight", name)
 
 
 def _as_s(t, s):
@@ -102,19 +106,11 @@ ASYMPTOTIC_FS = {
 
 
 def perturbation(name):
-    try:
-        return PERTURBATIONS[name]()
-    except KeyError:
-        raise ValidationError(
-            f"unknown perturbation '{name}'; built-ins: {sorted(PERTURBATIONS)}") from None
+    return _builtin(PERTURBATIONS, "perturbation", name)()
 
 
 def asymptotic_f(name, **params):
-    try:
-        factory = ASYMPTOTIC_FS[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown nonlinearity '{name}'; built-ins: {sorted(ASYMPTOTIC_FS)}") from None
+    factory = _builtin(ASYMPTOTIC_FS, "nonlinearity", name)
     try:
         return factory(**params)
     except TypeError as exc:

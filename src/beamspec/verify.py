@@ -27,6 +27,8 @@ from .spectrum import eigen_pencil, eigen_pencil_extrapolated, order_by_nodal
 # floor, so the battery stays at 6 (which covers every nodal index <= 6
 # the weights populate); criteria 1-3 check the nodal indices <= WINDOW
 WINDOW = 6
+# criterion 9 checks the zero gaps of the first 8 eigenfunctions of `one`
+SPACING_PAIRS = 8
 # criterion 5: random positive weights in the pool, eigenpairs of each
 STURM_POOL = 24
 STURM_K_MAX = 6
@@ -36,13 +38,15 @@ BATTERY_MIN_POINTS = 110
 
 
 def compute_spectra(n=2000):
-    """Pencil windows for every built-in weight on a shared grid."""
+    """Pencil windows for every built-in weight on a shared grid, one
+    decomposition each; `one` holds SPACING_PAIRS pairs for criterion 9."""
     grid = make_grid(n)
     out = {}
     for name, fn in WEIGHTS.items():
         m = sample(fn, grid)
         has_neg = bool(np.any(m.interior < 0.0))
-        out[name] = eigen_pencil(m, WINDOW, WINDOW if has_neg else 0)
+        out[name] = eigen_pencil(m, SPACING_PAIRS if name == "one" else WINDOW,
+                                 WINDOW if has_neg else 0)
     return grid, out
 
 
@@ -114,15 +118,14 @@ def check_oracle_agreement(grid, spectra, tol=1e-6):
             "n_eigenvalues": len(rows), "rows": rows}
 
 
-def check_degree_parity(grid, spectra, samples_per_sign=25, seed=0):
+def check_degree_parity(spectra, samples_per_sign=25, seed=0):
     """Criterion 4: det sign equals (-1)^count for 50 eigenvalue-avoiding
     samples (both signs) on every built-in weight; zero mismatches."""
     rng = np.random.default_rng(seed)
     reports = {}
     ok = True
     total = 0
-    for name, fn in WEIGHTS.items():
-        res = spectra[name]
+    for name, res in spectra.items():
         samples = parity_samples(res, rng, samples_per_sign, samples_per_sign)
         rep = degree_parity_sweep(res.weight, samples, spectrum_result=res)
         reports[name] = {"all_match": rep["all_match"], "n": rep["n_samples"]}
@@ -153,11 +156,8 @@ def check_sturm_suite(n=1000, n_pairs=200, seed=12345):
         raise ValidationError(f"need at least one pair, got {n_pairs}")
     rng = np.random.default_rng(seed)
     grid = make_grid(n)
-    pool = []
-    for _ in range(STURM_POOL):
-        m = _random_positive_weight(rng, grid)
-        res = eigen_pencil(m, STURM_K_MAX, 0)
-        pool.append((m, res))
+    pool = [eigen_pencil(_random_positive_weight(rng, grid), STURM_K_MAX, 0)
+            for _ in range(STURM_POOL)]
 
     accepted = 0
     attempts = 0
@@ -168,11 +168,10 @@ def check_sturm_suite(n=1000, n_pairs=200, seed=12345):
         i1, i2 = rng.integers(0, STURM_POOL, 2)
         k1 = int(rng.integers(1, STURM_K_MAX))          # 1..STURM_K_MAX-1
         k2 = int(rng.integers(k1 + 1, STURM_K_MAX + 1))  # k1+1..STURM_K_MAX
-        m1, res1 = pool[i1]
-        m2, res2 = pool[i2]
+        res1, res2 = pool[i1], pool[i2]
         mu1, mu2 = res1.positive[k1 - 1].mu, res2.positive[k2 - 1].mu
-        b1 = mu1 * m1
-        b2 = mu2 * m2
+        b1 = mu1 * res1.weight
+        b2 = mu2 * res2.weight
         if not np.all(b2.interior > b1.interior):
             continue
         u1 = res1.positive[k1 - 1].phi
@@ -331,7 +330,7 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
                    f"is empty for the saturating nonlinearity; "
                    f"gamma = {gamma_12:.6g} cannot satisfy it")}
     config = ContinuationConfig(norm_budget=5e3, max_steps=2000)
-    pairs = solve_nodal_range(0.96 * mu1, saturating_f(gain=17.0), m, 1, 2,
+    pairs = solve_nodal_range(0.96 * mu1, saturating_f(gain=17.0), res, 1, 2,
                               config=config)
     profiles = [(nodal_profile(up), nodal_profile(um)) for up, um in pairs]
     counts = [(pp.count, pm.count) for pp, pm in profiles]
@@ -344,22 +343,21 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
     return {"criterion": 8, "passed": ok, "details": details}
 
 
-def check_spacing(n=2000):
-    """Criterion 9: constant-coefficient zero gaps are 1/j within 1e-3."""
-    rep = spacing_check(j_max=8, n=n, tol=1e-3)
+def check_spacing(spectra):
+    """Criterion 9: the `one` window's zero gaps are 1/j within 1e-3."""
+    rep = spacing_check(spectra["one"], tol=1e-3)
     return {"criterion": 9, "passed": rep["all_pass"],
             "worst": max(r["worst_abs_err"] for r in rep["rows"])}
 
 
-def check_convergence_order(ns=(500, 1000, 2000)):
+def check_convergence_order(spectra):
     """Criterion 10: mu_1^+ error against pi^4 shrinks by 3.8x to 4.2x per
-    grid doubling (second-order discretization)."""
-    errs = []
-    for n in ns:
-        grid = make_grid(n)
-        one = sample(WEIGHTS["one"], grid)
-        res = eigen_pencil(one, 1, 0)
-        errs.append(abs(res.positive[0].mu - np.pi**4))
+    grid doubling (second-order discretization), on the ladder n // 4, n // 2
+    and n of the `one` window's n interior nodes (500, 1000, 2000 by default)."""
+    n = spectra["one"].grid.n_interior
+    rungs = [eigen_pencil(sample(WEIGHTS["one"], make_grid(n // d)), 1, 0)
+             for d in (4, 2)]
+    errs = [abs(r.positive[0].mu - np.pi**4) for r in rungs + [spectra["one"]]]
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     passed = all(3.8 <= r <= 4.2 for r in ratios)
     return {"criterion": 10, "passed": passed, "errors": errs, "ratios": ratios}
@@ -386,15 +384,15 @@ def verify_all(n=2000, seed=0, printer=print):
         check_analytic_spectrum(spectra),
         check_nodal_counts(spectra),
         check_oracle_agreement(grid, spectra),
-        check_degree_parity(grid, spectra, seed=seed),
+        check_degree_parity(spectra, seed=seed),
         check_sturm_suite(seed=seed + 12345),
     ]
     branches = run_branch_battery(grid, spectra)
     r6, r7 = check_branch_invariants(branches)
     reports.extend([r6, r7,
                     check_nodal_solutions(grid, spectra),
-                    check_spacing(n),
-                    check_convergence_order()])
+                    check_spacing(spectra),
+                    check_convergence_order(spectra)])
     reports.sort(key=lambda r: r["criterion"])
     if printer is not None:
         for r in reports:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from beamspec import verify
 from beamspec.grid import make_grid, sample
 from beamspec.spectrum import eigen_pencil
+
+
+@pytest.fixture(scope="session")
+def state():
+    """The battery's pencil windows at n = 2000, one decomposition per weight."""
+    grid, spectra = verify.compute_spectra(2000)
+    return {"grid": grid, "spectra": spectra}
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,28 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
-The heavy shared state (pencil windows at n = 2000, the traced branch
-battery) is computed once per module.  Each test prints its own PASS/FAIL
-line so a -s run reads as a checklist.
+The heavy shared state is computed once: the pencil windows at n = 2000
+(the session fixture `state`) and the traced branch battery (per module).
+Each test prints its own PASS/FAIL line so a -s run reads as a checklist.
 """
 
-import numpy as np
+from collections import Counter
+
 import pytest
 
-from beamspec import verify
+from beamspec import spectrum, verify
 
 
-@pytest.fixture(scope="module")
-def state():
-    grid, spectra = verify.compute_spectra(2000)
-    return {"grid": grid, "spectra": spectra}
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Grid size of every dense pencil decomposition a test runs."""
+    real, sizes = spectrum._decompose, Counter()
+
+    def counted(m, vectors):
+        sizes[m.grid.n_interior] += 1
+        return real(m, vectors)
+
+    monkeypatch.setattr(spectrum, "_decompose", counted)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +72,8 @@ def test_criterion_03_takes_137_determinants(state, monkeypatch):
 
 
 def test_criterion_04_degree_parity(state):
-    report = verify.check_degree_parity(state["grid"], state["spectra"],
-                                        samples_per_sign=25, seed=0)
+    report = verify.check_degree_parity(state["spectra"], samples_per_sign=25,
+                                        seed=0)
     assert report["total_samples"] >= 150
     _finish(report)
 
@@ -88,22 +96,28 @@ def test_criterion_07_branch_containment(branches):
     _finish(report7)
 
 
-def test_criterion_08_nodal_solutions(state):
+def test_criterion_08_nodal_solutions(state, decompositions):
     report = verify.check_nodal_solutions(state["grid"], state["spectra"],
                                           residual_tol=1e-8, agree_tol=1e-4)
     details = report["details"]
     assert details["inadmissible_rejected"]
     if details["range_driver"].get("skipped"):
         print("NOTICE:", details["range_driver"]["notice"])
+    # every solve, the multi-index ones included, reads the `one` window
+    assert decompositions == {}
     _finish(report)
 
 
-def test_criterion_09_zero_spacing():
-    _finish(verify.check_spacing(n=2000))
+def test_criterion_09_zero_spacing(state, decompositions):
+    report = verify.check_spacing(state["spectra"])
+    assert decompositions == {}
+    _finish(report)
 
 
-def test_criterion_10_convergence_order():
-    report = verify.check_convergence_order(ns=(500, 1000, 2000))
+def test_criterion_10_convergence_order(state, decompositions):
+    report = verify.check_convergence_order(state["spectra"])
     for ratio in report["ratios"]:
         assert 3.8 <= ratio <= 4.2
+    # the finest rung is the `one` window itself
+    assert decompositions == {500: 1, 1000: 1}
     _finish(report)

@@ -83,8 +83,8 @@ def test_sturm_rejects_non_solution(spectrum_one800, one800):
         sturm_check(p1.mu * one800, p2.mu * one800, p1.phi, p1.phi)
 
 
-def test_spacing_small_cases():
-    rep = spacing_check(j_max=5, n=1000, tol=1e-3)
+def test_spacing_small_cases(spectrum_one800):
+    rep = spacing_check(spectrum_one800, tol=1e-3)
     assert rep["all_pass"]
     by_j = {r["j"]: r for r in rep["rows"]}
     assert len(by_j[2]["gaps"]) == 2

@@ -344,6 +344,12 @@ def _malformed_files(tmp_path):
     (["branch", "--weight", "{header}"], 2),
     (["branch", "--weight", "{onerow}"], 2),
     (["solve", "--gamma", "73.05", "--f-table", "{header}"], 2),
+    # refused before the sweep would draw 1e11 samples at once
+    (["degree", "--samples", "99999999999"], 2),
+    # f overflows at s = 1e6; refused with no numpy warning
+    (["solve", "--gamma", "70", "--f-params", '{{"gain": 1e308}}'], 2),
+    (["branch", "--g", "quartic"], 2),
+    (["solve", "--gamma", "70", "--f", "cubic"], 2),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
@@ -352,7 +358,9 @@ def _malformed_files(tmp_path):
         "spectrum-kneg-minus-2", "spectrum-weight-directory", "branch-ds-overflow",
         "solve-infinite-gain", "solve-table-infinite-f0", "solve-table-infinite-finf",
         "branch-enorm-overflow", "branch-header-only-weight", "branch-one-row-weight",
-        "solve-header-only-table"])
+        "solve-header-only-table", "degree-samples-above-maximum",
+        "solve-overflowing-gain", "branch-unknown-perturbation",
+        "solve-unknown-nonlinearity"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
     argv = [a.format(**files) for a in argv]

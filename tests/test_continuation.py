@@ -396,11 +396,11 @@ def test_admissible_interval_orientation():
     assert hi2 == pytest.approx(200.0)
 
 
-def _start_system(n, weight, k, pairs):
-    """Bordered Newton system of the start polish at (mu_k, 1e-3 phi_k)."""
-    g = make_grid(n)
-    m = sample(WEIGHTS[weight], g)
-    pair = eigen_pencil(m, pairs, 0).pair(k, +1)
+def _start_system(res, k):
+    """Bordered Newton system of the start polish at (mu_k, 1e-3 phi_k) of
+    the positive pair k in the window res."""
+    g, m = res.grid, res.weight
+    pair = res.pair(k, +1)
     spec = PerturbedProblem(m=m, g=cubic_perturbation())
     a = SecondDiffOperator(g)
     u = 1e-3 * pair.phi.interior
@@ -419,7 +419,8 @@ def _start_system(n, weight, k, pairs):
 def test_bordered_step_matches_dense_solve(weight, k):
     # J is singular to rounding at mu_k; the bordered matrix is not, and
     # block elimination with one refinement must match a dense solve of it
-    a, fu, fmu, r1, r2, row_u, (du, dw, dmu) = _start_system(N, weight, k, 6)
+    res = eigen_pencil(sample(WEIGHTS[weight], make_grid(N)), 6, 0)
+    a, fu, fmu, r1, r2, row_u, (du, dw, dmu) = _start_system(res, k)
     n = N
     lap = np.diag(np.full(n, 2.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
     lap /= make_grid(n).h ** 2
@@ -435,10 +436,11 @@ def test_bordered_step_matches_dense_solve(weight, k):
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-def test_bordered_step_regular_where_pivot_test_fired():
+def test_bordered_step_regular_where_pivot_test_fired(state):
     # sin3pi, k = 4 at n = 2000: a pivot-size test on the assembled bordered
     # matrix called this start singular; block elimination solves it
-    a, fu, fmu, r1, r2, row_u, (du, dw, dmu) = _start_system(2000, "sin3pi", 4, 4)
+    res = state["spectra"]["sin3pi"]
+    a, fu, fmu, r1, r2, row_u, (du, dw, dmu) = _start_system(res, 4)
     e1 = -r1 - (a.apply(du) - dw)
     e2 = -r2 - (a.apply(dw) - fu * du - fmu * dmu)
     worst = max(np.max(np.abs(e1)), np.max(np.abs(e2)), abs(row_u @ du))

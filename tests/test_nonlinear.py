@@ -149,6 +149,17 @@ def test_check_asymptotics_refuses_a_nan_slope(label, undefined):
         check_asymptotics(AsymptoticF(f=f, f0=1.0, finf=1.0))
 
 
+def test_check_asymptotics_refuses_an_overflowing_sample_by_name():
+    # both slope estimates hold, but f overflows on 10 < s < 1e3; numpy
+    # would warn of it (an error in this suite), and h1 alone would pass
+    def f(s):
+        s = np.asarray(s, dtype=float)
+        return s * np.exp(np.where((s > 10.0) & (s < 1e3), 1e3, 0.0))
+
+    with pytest.raises(AsymptoticMismatch, match=r"^sample f\(21\.5443\) is not finite$"):
+        check_asymptotics(AsymptoticF(f=f, f0=1.0, finf=1.0))
+
+
 @pytest.mark.parametrize("f0, finf, label", [
     (np.inf, 1.0, "f0"), (1.0, np.inf, "finf"), (np.nan, 1.0, "f0"), (1.0, -np.inf, "finf"),
 ], ids=["f0-inf", "finf-inf", "f0-nan", "finf-minus-inf"])

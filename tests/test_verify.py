@@ -36,13 +36,13 @@ def test_verify_all_runs_each_check_once_and_prints_in_criterion_order(monkeypat
         ("check_analytic_spectrum", (spectra,), {}),
         ("check_nodal_counts", (spectra,), {}),
         ("check_oracle_agreement", (grid, spectra), {}),
-        ("check_degree_parity", (grid, spectra), {"seed": 7}),
+        ("check_degree_parity", (spectra,), {"seed": 7}),
         ("check_sturm_suite", (), {"seed": 7 + 12345}),
         ("run_branch_battery", (grid, spectra), {}),
         ("check_branch_invariants", (branches,), {}),
         ("check_nodal_solutions", (grid, spectra), {}),
-        ("check_spacing", (60,), {}),
-        ("check_convergence_order", (), {}),
+        ("check_spacing", (spectra,), {}),
+        ("check_convergence_order", (spectra,), {}),
     ]
     assert lines == [f"{'FAIL' if c == 7 else 'PASS'}: criterion {c:2d} - "
                      f"{verify.LABELS[c]}" for c in range(1, 11)]
