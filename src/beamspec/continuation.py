@@ -8,7 +8,8 @@ corrector on the mixed (u, w, mu) system; after every accepted step the
 nodal profile is recomputed, and a step whose profile leaves the nodal
 class S_k^sigma is rejected with a halved step (a genuine change
 would require a generalized double zero, which nontrivial solutions
-cannot have; persistent failure at the minimum step aborts).
+cannot have; persistent failure at the minimum step aborts).  A branch
+point's E-norm is its profile's.
 
 Both the start polish and every branch step call nonlinear.newton on
 the hyperplane through the predictor: normal (h phi, 0) at the start,
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import (AsymptoticMismatch, GammaNotAdmissible, NoConvergence,
                      NoCrossing, SingularJacobian, StartFailure,
-                     StepFailure, ValidationError)
+                     StepFailure, TrivialFunction, ValidationError)
 from .grid import SampledFn, e_norm, from_interior
 from .nodal import nodal_profile
 from .nonlinear import (AutonomousProblem, check_asymptotics, fp_residual,
@@ -78,7 +79,7 @@ class ContinuationConfig:
 class BranchPoint:
     mu: float
     u: SampledFn
-    norm: float           # e_norm(u)
+    norm: float           # e_norm(u), as profile.norm
     profile: object       # NodalProfile
     arclength: float
     k: int
@@ -146,7 +147,7 @@ def bifurcation_start(k, nu, sigma, spec, spectrum_result):
                            max_iter=MAX_CORRECTOR_ITER,
                            border=(phi.grid.h * phi.interior, 0.0))
             profile = nodal_profile(u)
-            norm = e_norm(u)
+            norm = profile.norm
             defect = profile.class_defect(k, sigma)
             if defect is None and norm <= 1.05 * eps:
                 return BranchPoint(mu=mu, u=u, norm=norm, profile=profile,
@@ -170,6 +171,8 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     rejects the step and halves ds; ds never exceeds the norm budget, which
     one step that long already leaves.  Terminates at the norm budget, the
     step budget, persistent step failure, or when mu crosses stop_at_mu.
+    A step that collapses toward u = 0, or onto it (no profile exists
+    there), ends the branch as a step failure flagged as falsification.
     """
     if config is None:
         config = ContinuationConfig()
@@ -206,8 +209,11 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                                tol=_point_tol(pred_u, cur.norm),
                                max_iter=MAX_CORRECTOR_ITER,
                                border=(h * t_u, t_mu / mu_scale))
-                profile = nodal_profile(u)
-                defect = profile.class_defect(k, sigma)
+                try:
+                    profile = nodal_profile(u)
+                except TrivialFunction:
+                    profile = None  # the corrector fell onto u = 0
+                defect = None if profile is None else profile.class_defect(k, sigma)
                 if defect is not None:
                     raise StepFailure(f"profile {defect} at ds={ds:.3e}")
                 accepted = (u, mu, profile)
@@ -221,16 +227,15 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                 ds = max(0.5 * ds, DS_MIN)
 
         u, mu, profile = accepted
-        du = u.interior - cur.u.interior
-        dmu = (mu - cur.mu) / mu_scale
-        step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
-        norm = e_norm(u)
-        point = BranchPoint(mu=mu, u=u, norm=norm, profile=profile,
-                            arclength=cur.arclength + step_len,
-                            k=k, nu=nu, sigma=sigma, origin_mu=start.origin_mu)
-        points.append(point)
+        if profile is not None:
+            du = u.interior - cur.u.interior
+            dmu = (mu - cur.mu) / mu_scale
+            step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
+            points.append(BranchPoint(mu=mu, u=u, norm=profile.norm, profile=profile,
+                                      arclength=cur.arclength + step_len, k=k, nu=nu,
+                                      sigma=sigma, origin_mu=start.origin_mu))
 
-        if norm < 0.1 * EPS_START and len(points) > 2:
+        if profile is None or (profile.norm < 0.1 * EPS_START and len(points) > 2):
             # amplitude collapsed back to the trivial line: would mean the
             # branch met another bifurcation point, which containment forbids
             flags.append(f"falsification: amplitude collapse at mu={mu:.6g}")
@@ -239,7 +244,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
         if stop_at_mu is not None and (cur.mu - stop_at_mu) * (mu - stop_at_mu) <= 0.0:
             termination = TERM_HYPERPLANE
             break
-        if norm >= config.norm_budget:
+        if profile.norm >= config.norm_budget:
             termination = TERM_NORM_BUDGET
             break
         if ds < ds_max:

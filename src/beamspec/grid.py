@@ -137,10 +137,20 @@ def derivative(u, order):
     return SampledFn(u.grid, out)
 
 
+def derivative_fields(u):
+    """The derivative fields (u', u'', u''') of u, each by derivative."""
+    return tuple(derivative(u, order) for order in (1, 2, 3))
+
+
+def e_norm_of_fields(u, fields):
+    """E-norm of u from its derivative_fields, summed in one place so that
+    e_norm and a nodal profile's norm are the same float."""
+    return sum(float(np.max(np.abs(f.values))) for f in (u,) + fields)
+
+
 def e_norm(u):
     """C^3-type norm: the sum of the sup norms of u and its first three derivatives."""
-    return sum(float(np.max(np.abs(f.values)))
-               for f in (u, derivative(u, 1), derivative(u, 2), derivative(u, 3)))
+    return e_norm_of_fields(u, derivative_fields(u))
 
 
 def interior_dot(u, v):

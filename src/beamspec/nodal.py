@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomain, TrivialFunction
-from .grid import derivative
+from .grid import derivative_fields, e_norm_of_fields
 
 GENERALIZED_SIMPLE = "generalized_simple"
 GENERALIZED_DOUBLE = "generalized_double"
@@ -65,6 +65,7 @@ class NodalProfile:
     zeros: tuple
     is_nodal: bool
     anomalies: tuple
+    norm: float  # e_norm of the profiled function, from the profile's fields
 
     def class_defect(self, k, sigma=None):
         """The first condition of S_k^sigma the profile fails, as a
@@ -98,18 +99,10 @@ def _local_window(grid, t):
                  min(len(grid), int(np.ceil((t + half) / grid.h)) + 1))
 
 
-def _derivative_fields(u):
-    return tuple(derivative(u, k) for k in (1, 2, 3))
-
-
-def _scale(u, fields):
-    """e_norm(u) from precomputed derivative fields, summed in e_norm's order."""
-    return sum(float(np.max(np.abs(f.values))) for f in (u,) + fields)
-
-
-def _scan(u, fields):
-    """Interior zeros of u as sorted (t, touch) pairs; see find_zeros."""
-    if _scale(u, fields) <= TRIVIAL_TOL:
+def _scan(u, fields, norm):
+    """Interior zeros of u as sorted (t, touch) pairs; see find_zeros.
+    fields are u's derivative_fields and norm its E-norm."""
+    if norm <= TRIVIAL_TOL:
         raise TrivialFunction("zero search needs a nontrivial function")
     v = u.values
     t = u.grid.nodes
@@ -180,7 +173,8 @@ def find_zeros(u):
     locations, deduplicated to half a grid spacing: merged candidates keep
     the first location and make a touch when any of them is one.
     """
-    return [z for z, _ in _scan(u, _derivative_fields(u))]
+    fields = derivative_fields(u)
+    return [z for z, _ in _scan(u, fields, e_norm_of_fields(u, fields))]
 
 
 def classify_zero(u, t_star):
@@ -197,15 +191,16 @@ def classify_zero(u, t_star):
     full size against the local one, while at a true double zero every
     derivative estimate is truncation-limited on both scales.
     """
-    return _classify(u, t_star, _derivative_fields(u))
+    fields = derivative_fields(u)
+    return _classify(u, t_star, fields, e_norm_of_fields(u, fields))
 
 
-def _classify(u, t_star, fields):
-    """classify_zero on the derivative fields (u', u'', u''') of u."""
+def _classify(u, t_star, fields, norm):
+    """classify_zero on the derivative fields and the E-norm of u."""
     if not (0.0 < t_star < 1.0):
         raise OutOfDomain(f"t_star={t_star} is not in (0, 1)")
     d1, d2, d3 = (_interp_linear(u.grid, f.values, t_star) for f in fields)
-    globally_small = max(abs(d1), abs(d2), abs(d3)) < DOUBLE_TOL * _scale(u, fields)
+    globally_small = max(abs(d1), abs(d2), abs(d3)) < DOUBLE_TOL * norm
 
     window = _local_window(u.grid, t_star)
     locally_small = all(
@@ -223,19 +218,22 @@ def nodal_profile(u):
     Zeros and their kinds, crossing or touch, come from the zero scan.
     A touch counts as a zero only when classified double; a simple
     touch-zero is recorded as an anomaly instead, since a nontrivial
-    solution of the beam equation cannot have one.
+    solution of the beam equation cannot have one.  u is derived once,
+    for the triviality check, the scan, every classification and the
+    recorded norm.
     """
-    fields = _derivative_fields(u)
+    fields = derivative_fields(u)
+    norm = e_norm_of_fields(u, fields)
     v = u.values
     vmax = np.max(np.abs(v))
 
     records = []
     anomalies = []
-    for z, touch in _scan(u, fields):
+    for z, touch in _scan(u, fields, norm):
         if touch and np.max(np.abs(v[_local_window(u.grid, z)])) < RESOLVED_TOL * vmax:
             anomalies.append(f"unresolved near-zero region at t={z:.6g}")
             continue
-        rec = _classify(u, z, fields)
+        rec = _classify(u, z, fields, norm)
         if touch and rec.kind == GENERALIZED_SIMPLE:
             anomalies.append(f"simple touch-zero at t={z:.6g}")
             continue
@@ -249,4 +247,5 @@ def nodal_profile(u):
         zeros=tuple(records),
         is_nodal=all(r.kind == GENERALIZED_SIMPLE for r in records),
         anomalies=tuple(anomalies),
+        norm=norm,
     )

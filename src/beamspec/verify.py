@@ -13,8 +13,10 @@ from .analysis import (degree_parity_sweep, parity_samples, spacing_check,
 from .continuation import (EPS_START, TERM_HYPERPLANE, TERM_NORM_BUDGET,
                            ContinuationConfig, bifurcation_start, solve_nodal,
                            solve_nodal_range, trace_branch)
-from .errors import GammaNotAdmissible, HypothesisViolated, ValidationError
-from .grid import derivative, e_norm, interior_dot, make_grid, sample
+from .errors import (GammaNotAdmissible, HypothesisViolated, NoConvergence,
+                     NoSignChange, TooCoarse, ValidationError)
+from .grid import (MIN_INTERIOR, derivative, e_norm, interior_dot, make_grid,
+                   sample)
 from .nodal import nodal_profile
 from .nonlinear import AutonomousProblem, PerturbedProblem, fp_residual
 from .presets import (WEIGHTS, cubic_perturbation, saturating_f,
@@ -35,6 +37,12 @@ STURM_K_MAX = 6
 # E-norm budget and least step count of every battery branch
 BATTERY_NORM_BUDGET = 1e3
 BATTERY_MIN_POINTS = 110
+# criterion 10's coarsest rung has n // 4 interior nodes
+MIN_BATTERY_N = 4 * MIN_INTERIOR
+# a pair takes up to 50 draws and, once accepted, two zero searches
+# (0.5 ms at n = 2000): 10 000 pairs stay within seconds, where an
+# unbounded count could run for hours
+MAX_STURM_PAIRS = 10_000
 
 
 def compute_spectra(n=2000):
@@ -98,7 +106,8 @@ def _shoot_brackets(extrapolated):
 def check_oracle_agreement(grid, spectra, tol=1e-6):
     """Criterion 3: Richardson-extrapolated pencil eigenvalues agree with
     the shooting oracle to 1e-6 relative for every pair of nodal index
-    <= WINDOW from criterion 2."""
+    <= WINDOW from criterion 2.  A shoot that finds no root in the bracket
+    around the extrapolation fails its row with the error and rel = inf."""
     rows = []
     for name, fn in WEIGHTS.items():
         fine = spectra[name]
@@ -109,10 +118,14 @@ def check_oracle_agreement(grid, spectra, tol=1e-6):
             for p, mu_x, bracket in zip(pairs, extr, brackets):
                 if p.k > WINDOW:
                     continue
-                mu_shoot = shoot_eigenvalue(fn, bracket)
-                rel = abs(mu_x / mu_shoot - 1.0)
-                rows.append({"weight": name, "k": p.k, "nu": p.nu,
-                             "pencil_x": mu_x, "shoot": mu_shoot, "rel": rel})
+                row = {"weight": name, "k": p.k, "nu": p.nu, "pencil_x": mu_x}
+                try:
+                    row["shoot"] = shoot_eigenvalue(fn, bracket)
+                    row["rel"] = abs(mu_x / row["shoot"] - 1.0)
+                except (NoSignChange, NoConvergence) as exc:
+                    row.update(shoot=None, rel=np.inf,
+                               error=f"{type(exc).__name__}: {exc}")
+                rows.append(row)
     worst = max(r["rel"] for r in rows)
     return {"criterion": 3, "passed": bool(worst <= tol), "worst_rel": float(worst),
             "n_eigenvalues": len(rows), "rows": rows}
@@ -152,8 +165,9 @@ def _random_positive_weight(rng, grid):
 def check_sturm_suite(n=1000, n_pairs=200, seed=12345):
     """Criterion 5: 200 seeded randomized ordered pairs all pass the
     comparison check; both negative controls fail."""
-    if n_pairs < 1:
-        raise ValidationError(f"need at least one pair, got {n_pairs}")
+    if not 1 <= n_pairs <= MAX_STURM_PAIRS:
+        raise ValidationError(
+            f"need 1..{MAX_STURM_PAIRS} pairs, got {n_pairs}")
     rng = np.random.default_rng(seed)
     grid = make_grid(n)
     pool = [eigen_pencil(_random_positive_weight(rng, grid), STURM_K_MAX, 0)
@@ -378,7 +392,11 @@ LABELS = {
 
 
 def verify_all(n=2000, seed=0, printer=print):
-    """Run criteria 1..10 and return the list of report dicts."""
+    """Run criteria 1..10 and return the list of report dicts; an n
+    below MIN_BATTERY_N is refused before any work."""
+    if n < MIN_BATTERY_N:
+        raise TooCoarse(f"the battery needs n >= {MIN_BATTERY_N}, got {n}: "
+                        f"criterion 10's coarsest rung has n // 4 interior nodes")
     grid, spectra = compute_spectra(n)
     reports = [
         check_analytic_spectrum(spectra),

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,20 @@ def sin3pi800(grid800):
 @pytest.fixture(scope="session")
 def spectrum_sin3pi800(sin3pi800):
     return eigen_pencil(sin3pi800, 4, 4)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name, key=None) wraps owner.name for the test and
+    returns a Counter of its calls, keyed by key(*args, **kwargs) when a
+    key is given and by None otherwise."""
+    def install(owner, name, key=None):
+        real, tally = getattr(owner, name), Counter()
+
+        def counted(*args, **kwargs):
+            tally[None if key is None else key(*args, **kwargs)] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return tally
+    return install

@@ -5,24 +5,16 @@ The heavy shared state is computed once: the pencil windows at n = 2000
 Each test prints its own PASS/FAIL line so a -s run reads as a checklist.
 """
 
-from collections import Counter
-
 import pytest
 
-from beamspec import spectrum, verify
+from beamspec import shooting, spectrum, verify
 
 
 @pytest.fixture
-def decompositions(monkeypatch):
+def decompositions(count_calls):
     """Grid size of every dense pencil decomposition a test runs."""
-    real, sizes = spectrum._decompose, Counter()
-
-    def counted(m, vectors):
-        sizes[m.grid.n_interior] += 1
-        return real(m, vectors)
-
-    monkeypatch.setattr(spectrum, "_decompose", counted)
-    return sizes
+    return count_calls(spectrum, "_decompose",
+                       key=lambda m, vectors: m.grid.n_interior)
 
 
 @pytest.fixture(scope="module")
@@ -54,21 +46,14 @@ def test_criterion_03_oracle_agreement(state):
     _finish(report)
 
 
-def test_criterion_03_takes_137_determinants(state, monkeypatch):
+def test_criterion_03_takes_137_determinants(state, count_calls):
     # each of the 29 centred shoots closes after 4 determinants but a few;
     # a change in the oracle's work shows here before it shows in time
-    from beamspec import shooting
-    real, mus = shooting._finite_determinant, []
-
-    def counted(mu, steps):
-        mus.append(mu)
-        return real(mu, steps)
-
-    monkeypatch.setattr(shooting, "_finite_determinant", counted)
+    determinants = count_calls(shooting, "_finite_determinant")
     report = verify.check_oracle_agreement(state["grid"], state["spectra"],
                                            tol=1e-6)
     assert report["n_eigenvalues"] == 29
-    assert len(mus) == 137
+    assert determinants.total() == 137
 
 
 def test_criterion_04_degree_parity(state):

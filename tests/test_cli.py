@@ -350,6 +350,10 @@ def _malformed_files(tmp_path):
     (["solve", "--gamma", "70", "--f-params", '{{"gain": 1e308}}'], 2),
     (["branch", "--g", "quartic"], 2),
     (["solve", "--gamma", "70", "--f", "cubic"], 2),
+    # both refused before the pencil would allocate n x n matrices, or the
+    # suite would draw up to 50 candidates per pair
+    (["spectrum", "--n", "5001"], 2),
+    (["sturm", "--pairs", "10001"], 2),
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
@@ -360,18 +364,40 @@ def _malformed_files(tmp_path):
         "branch-enorm-overflow", "branch-header-only-weight", "branch-one-row-weight",
         "solve-header-only-table", "degree-samples-above-maximum",
         "solve-overflowing-gain", "branch-unknown-perturbation",
-        "solve-unknown-nonlinearity"])
+        "solve-unknown-nonlinearity", "spectrum-n-above-maximum",
+        "sturm-pairs-above-maximum"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
     files = _malformed_files(tmp_path)
-    argv = [a.format(**files) for a in argv]
+    # the defaults go before the case's own options, so a case's --n wins
+    argv = argv[:1] + ["--n", "300", "--out", str(tmp_path / "out")] + [
+        a.format(**files) for a in argv[1:]]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(argv + ["--n", "300", "--out", str(tmp_path / "out")]) == code
+        assert run(argv) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     # numpy's overflow and empty-input warnings would name library
     # internals to the user
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-all", "--n", "24"],
+     "TooCoarse: the battery needs n >= 32, got 24: criterion 10's coarsest "
+     "rung has n // 4 interior nodes"),
+    (["spectrum", "--n", "5001"], "--n must be at most 5000, got 5001"),
+    (["sturm", "--pairs", "10001"], "need 1..10000 pairs, got 10001"),
+], ids=["verify-all-too-coarse", "spectrum-n-above-maximum",
+        "sturm-pairs-above-maximum"])
+def test_size_arguments_out_of_bounds_are_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, message):
+    from beamspec import spectrum
+    calls = []
+    monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("module", ["beamspec", "beamspec.cli"])

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from beamspec import continuation
+from beamspec import continuation, grid
 from beamspec.continuation import (GROW_FACTOR, ContinuationConfig,
                                    admissible_interval, bifurcation_start,
                                    cross_hyperplane, solve_nodal, trace_branch)
@@ -13,7 +13,7 @@ from beamspec.errors import (GammaNotAdmissible, NoConvergence, NoCrossing,
                              NotInWeightClass, StartFailure)
 from beamspec.grid import e_norm, interior_dot, make_grid, sample
 from beamspec.linops import SecondDiffOperator, _MixedLU
-from beamspec.nodal import nodal_profile
+from beamspec.nodal import TRIVIAL_TOL, nodal_profile
 from beamspec.nonlinear import (AutonomousProblem, PerturbedProblem,
                                 _bordered_solve, fp_residual, newton)
 from beamspec.presets import (WEIGHTS, cubic_perturbation, linear_f,
@@ -181,6 +181,36 @@ def test_trace_profile_constant(setup):
         assert p.profile.count == 1
         assert p.profile.sigma == +1
         assert p.profile.is_nodal
+
+
+@pytest.fixture(scope="module")
+def one300():
+    return sample(lambda t: np.ones_like(t), make_grid(300))
+
+
+def test_an_accepted_step_runs_the_stencils_six_times(one300, count_calls):
+    # three derivatives of the predictor for the corrector tolerance and
+    # three of the corrected point for its profile, which also gives the
+    # point its E-norm; a rejected step would add its own
+    spec = PerturbedProblem(m=one300, g=cubic_perturbation())
+    start = bifurcation_start(1, +1, +1, spec, eigen_pencil(one300, 1, 0))
+    stencils = count_calls(grid, "derivative")
+    branch = trace_branch(start, spec, ContinuationConfig(max_steps=20))
+    assert branch.termination == continuation.TERM_MAX_STEPS
+    assert stencils.total() == 6 * 20
+
+
+def test_a_step_onto_the_trivial_line_ends_the_branch_as_a_collapse(one300):
+    # gain 1e12 drives the corrected steps back to u = 0, where no nodal
+    # profile exists: the amplitude-collapse rule ends the branch
+    spec = AutonomousProblem(m=one300, gamma=70, f=saturating_f(gain=1e12))
+    start = bifurcation_start(1, +1, +1, spec, widest_resolvable_window(one300))
+    branch = trace_branch(start, spec, stop_at_mu=1.0)
+    assert branch.termination == continuation.TERM_STEP_FAILURE
+    assert len(branch.flags) == 1
+    assert branch.flags[0].startswith("falsification: amplitude collapse at mu=")
+    # the step on the trivial line keeps no point
+    assert all(p.norm > TRIVIAL_TOL for p in branch.points)
 
 
 def test_arclength_increment_is_the_secant_length(setup):

@@ -248,11 +248,11 @@ def test_find_zeros_matches_loop_on_eigenfunctions(spectrum_one800, spectrum_sin
 
 
 def test_shared_fields_give_e_norm_bit_for_bit(spectrum_sin3pi800):
-    # a profile takes u', u'' and u''' once; the scale summed from them
-    # must equal the e_norm value exactly, or the thresholds would move
-    from beamspec.nodal import _derivative_fields, _scale
+    # a profile takes u', u'' and u''' once; the norm it records must equal
+    # the e_norm value exactly, or its thresholds and the branch points
+    # that take their norm from it would move
     for pair in spectrum_sin3pi800.positive + spectrum_sin3pi800.negative:
-        assert _scale(pair.phi, _derivative_fields(pair.phi)) == e_norm(pair.phi)
+        assert nodal_profile(pair.phi).norm == e_norm(pair.phi)
 
 
 def test_find_zeros_matches_loop_on_node_crossing():

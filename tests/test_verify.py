@@ -1,3 +1,5 @@
+import numpy as np
+
 from beamspec import verify
 
 
@@ -46,3 +48,17 @@ def test_verify_all_runs_each_check_once_and_prints_in_criterion_order(monkeypat
     ]
     assert lines == [f"{'FAIL' if c == 7 else 'PASS'}: criterion {c:2d} - "
                      f"{verify.LABELS[c]}" for c in range(1, 11)]
+
+
+def test_an_oracle_bracket_without_a_sign_change_is_a_failed_row():
+    # at n = 100 the coarse-grid extrapolation misses some roots by more
+    # than the bracket built around it: the shoot finds no sign change,
+    # which fails its row and the criterion instead of raising
+    grid, spectra = verify.compute_spectra(100)
+    report = verify.check_oracle_agreement(grid, spectra)
+    assert report["passed"] is False
+    failed = [r for r in report["rows"] if "error" in r]
+    assert failed
+    for row in failed:
+        assert row["error"].startswith("NoSignChange: ")
+        assert row["shoot"] is None and row["rel"] == np.inf
