@@ -11,7 +11,7 @@ nodal solutions of u'''' = gamma m(t) f(u).
 
 __version__ = "0.1.0"
 
-from .analysis import degree_parity_sweep, spacing_check, sturm_check
+from .analysis import degree_parity_sweep, sturm_check
 from .continuation import (Branch, BranchPoint, ContinuationConfig,
                            bifurcation_start, cross_hyperplane, save_branch,
                            solve_nodal, solve_nodal_range, trace_branch)
@@ -28,5 +28,4 @@ from .render import render_diagram
 from .shooting import (boundary_determinant, shoot_eigenvalue,
                        shoot_nodal_solution)
 from .spectrum import (EigenPair, SpectrumResult, eigen_pencil,
-                       eigen_pencil_extrapolated, order_by_nodal,
-                       widest_resolvable_window)
+                       eigen_pencil_extrapolated, widest_resolvable_window)

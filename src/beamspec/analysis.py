@@ -1,5 +1,4 @@
-"""Verification harnesses: degree parity, Sturm comparison, and the
-constant-coefficient zero-spacing fact.
+"""Verification harnesses: degree parity and Sturm comparison.
 
 Degree parity: the Leray-Schauder degree surrogate det_sign_psi must equal
 (-1)^c where c counts pencil eigenvalues strictly between 0 and mu.  The
@@ -95,21 +94,3 @@ def sturm_check(b1, b2, u1, u2, residual_tol=1e-6):
     c2 = len(find_zeros(u2))
     return {"count1": c1, "count2": c2, "pass": c2 >= c1 + 1}
 
-
-def spacing_check(result, tol):
-    """Zero gaps of the constant-coefficient eigenfunctions.
-
-    For a window result of a constant positive weight, the eigenfunction of
-    nodal index j is sin(j pi t), so consecutive zeros (endpoints included)
-    are 1/j apart; every gap of every positive pair must match within tol.
-    """
-    rows = []
-    for p in result.positive:
-        zeros = [0.0] + find_zeros(p.phi) + [1.0]
-        gaps = np.diff(zeros)
-        target = 1.0 / p.k
-        worst = float(np.max(np.abs(gaps - target)))
-        rows.append({"j": p.k, "gaps": [float(g) for g in gaps],
-                     "target": target, "worst_abs_err": worst,
-                     "pass": worst <= tol})
-    return {"rows": rows, "all_pass": all(r["pass"] for r in rows)}

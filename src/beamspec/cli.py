@@ -228,10 +228,11 @@ def build_parser():
                     "the simply supported beam operator with sign-changing weight")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seeded=False):
         sp.add_argument("--n", type=int, default=2000, help="interior grid nodes")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     sp = sub.add_parser("spectrum", help="eigenvalue sequences of a weight")
     common(sp)
@@ -242,14 +243,14 @@ def build_parser():
     sp.set_defaults(fn=_cmd_spectrum)
 
     sp = sub.add_parser("degree", help="degree parity sweep")
-    common(sp)
+    common(sp, seeded=True)
     sp.add_argument("--weight", default="one")
     sp.add_argument("--samples", type=int, default=50,
                     help=f"parity samples, at most {MAX_SAMPLES}")
     sp.set_defaults(fn=_cmd_degree)
 
     sp = sub.add_parser("sturm", help="randomized comparison-theorem suite")
-    common(sp)
+    common(sp, seeded=True)
     sp.add_argument("--pairs", type=int, default=200)
     sp.set_defaults(fn=_cmd_sturm)
 
@@ -287,7 +288,7 @@ def build_parser():
     sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("verify-all", help="run the full verification battery")
-    common(sp)
+    common(sp, seeded=True)
     sp.set_defaults(fn=_cmd_verify_all)
     return p
 
@@ -301,7 +302,7 @@ def run(argv=None):
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("fn",) and not callable(v)}
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         if args.n > MAX_N:
             raise ValidationError(f"--n must be at most {MAX_N}, got {args.n}")

@@ -55,9 +55,9 @@ DS_MIN = 1e-5              # smallest step; a step failing at it ends the branch
 
 @dataclass(frozen=True)
 class ContinuationConfig:
-    """The four branch settings: the first step ds, halved toward DS_MIN on
-    a rejected step and grown by GROW_FACTOR toward ds_max on an accepted
-    one; the stops max_steps and norm_budget.  The start amplitude
+    """The four branch settings: the first step ds, finite, halved toward
+    DS_MIN on a rejected step and grown by GROW_FACTOR toward ds_max on an
+    accepted one; the stops max_steps and norm_budget.  The start amplitude
     EPS_START, DS_MIN, CORRECTOR_TOL, MAX_CORRECTOR_ITER and HYPERPLANE_TOL
     are module constants."""
 
@@ -67,8 +67,10 @@ class ContinuationConfig:
     norm_budget: float = 1e3
 
     def __post_init__(self):
-        if not (DS_MIN <= self.ds <= self.ds_max):
-            raise ValidationError(f"need {DS_MIN:g} <= ds <= ds_max")
+        # an infinite ds stays infinite when halved: every predictor would
+        # be non-finite and the step would never end
+        if not (DS_MIN <= self.ds < np.inf and self.ds <= self.ds_max):
+            raise ValidationError(f"need a finite ds with {DS_MIN:g} <= ds <= ds_max")
         if not self.norm_budget > 0.0:
             raise ValidationError("need norm_budget > 0")
         if self.max_steps < 1:
@@ -171,8 +173,9 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     rejects the step and halves ds; ds never exceeds the norm budget, which
     one step that long already leaves.  Terminates at the norm budget, the
     step budget, persistent step failure, or when mu crosses stop_at_mu.
-    A step that collapses toward u = 0, or onto it (no profile exists
-    there), ends the branch as a step failure flagged as falsification.
+    A step whose E-norm falls below a tenth of the start's, the first step
+    included, or onto u = 0 (no profile exists there), keeps no point and
+    ends the branch as a step failure flagged as falsification.
     """
     if config is None:
         config = ContinuationConfig()
@@ -227,20 +230,18 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                 ds = max(0.5 * ds, DS_MIN)
 
         u, mu, profile = accepted
-        if profile is not None:
-            du = u.interior - cur.u.interior
-            dmu = (mu - cur.mu) / mu_scale
-            step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
-            points.append(BranchPoint(mu=mu, u=u, norm=profile.norm, profile=profile,
-                                      arclength=cur.arclength + step_len, k=k, nu=nu,
-                                      sigma=sigma, origin_mu=start.origin_mu))
-
-        if profile is None or (profile.norm < 0.1 * EPS_START and len(points) > 2):
+        if profile is None or profile.norm < 0.1 * start.norm:
             # amplitude collapsed back to the trivial line: would mean the
             # branch met another bifurcation point, which containment forbids
             flags.append(f"falsification: amplitude collapse at mu={mu:.6g}")
             termination = TERM_STEP_FAILURE
             break
+        du = u.interior - cur.u.interior
+        dmu = (mu - cur.mu) / mu_scale
+        step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
+        points.append(BranchPoint(mu=mu, u=u, norm=profile.norm, profile=profile,
+                                  arclength=cur.arclength + step_len, k=k, nu=nu,
+                                  sigma=sigma, origin_mu=start.origin_mu))
         if stop_at_mu is not None and (cur.mu - stop_at_mu) * (mu - stop_at_mu) <= 0.0:
             termination = TERM_HYPERPLANE
             break

@@ -280,24 +280,3 @@ def eigen_pencil_extrapolated(weight_fn, grid, count_pos, count_neg, fine=None):
 
     return fine, combine(fine.positive, pos_idx), combine(fine.negative, neg_idx)
 
-
-def order_by_nodal(result):
-    """Recheck the zero-count law on every pair of a SpectrumResult.
-
-    The eigenfunction of the pair labelled k must lie in the nodal class
-    S_k: exactly k - 1 interior zeros, all generalized simple, and no
-    anomaly.  Returns a report dict listing any violations instead of
-    raising.
-    """
-    rows = []
-    violations = []
-    for pairs in (result.positive, result.negative):
-        for p in pairs:
-            profile = nodal_profile(p.phi)
-            ok = profile.in_class(p.k)
-            rows.append({"k": p.k, "rank": p.rank, "nu": "+" if p.nu > 0 else "-",
-                         "mu": p.mu, "zeros": profile.count,
-                         "all_simple": profile.is_nodal, "ok": ok})
-            if not ok:
-                violations.append(rows[-1])
-    return {"rows": rows, "violations": violations, "ok": not violations}

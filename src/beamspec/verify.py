@@ -1,15 +1,14 @@
 """The full verification battery.
 
 Each check_* function runs one numbered criterion at its pinned tolerance
-and returns a dict with a "passed" flag plus supporting detail; verify_all
-runs the lot, prints one PASS/FAIL line per criterion, and returns the
-reports.  The battery is deterministic given (n, seed).
+on the windows it is given and returns a dict with a "passed" flag plus
+supporting detail; verify_all runs the lot, prints one PASS/FAIL line
+per criterion, and returns the reports.  Deterministic given (n, seed).
 """
 
 import numpy as np
 
-from .analysis import (degree_parity_sweep, parity_samples, spacing_check,
-                       sturm_check)
+from .analysis import degree_parity_sweep, parity_samples, sturm_check
 from .continuation import (EPS_START, TERM_HYPERPLANE, TERM_NORM_BUDGET,
                            ContinuationConfig, bifurcation_start, solve_nodal,
                            solve_nodal_range, trace_branch)
@@ -17,12 +16,12 @@ from .errors import (GammaNotAdmissible, HypothesisViolated, NoConvergence,
                      NoSignChange, TooCoarse, ValidationError)
 from .grid import (MIN_INTERIOR, derivative, e_norm, interior_dot, make_grid,
                    sample)
-from .nodal import nodal_profile
+from .nodal import find_zeros, nodal_profile
 from .nonlinear import AutonomousProblem, PerturbedProblem, fp_residual
 from .presets import (WEIGHTS, cubic_perturbation, saturating_f,
                       zero_perturbation)
 from .shooting import shoot_eigenvalue, shoot_nodal_solution
-from .spectrum import eigen_pencil, eigen_pencil_extrapolated, order_by_nodal
+from .spectrum import eigen_pencil, eigen_pencil_extrapolated
 
 # magnitude-ranked pairs computed per sign class and weight; high ranks of
 # strongly localized classes push zero amplitudes toward the float noise
@@ -31,6 +30,7 @@ from .spectrum import eigen_pencil, eigen_pencil_extrapolated, order_by_nodal
 WINDOW = 6
 # criterion 9 checks the zero gaps of the first 8 eigenfunctions of `one`
 SPACING_PAIRS = 8
+PARITY_SAMPLES = 25  # criterion 4: samples per sign and weight
 # criterion 5: random positive weights in the pool, eigenpairs of each
 STURM_POOL = 24
 STURM_K_MAX = 6
@@ -55,7 +55,7 @@ def compute_spectra(n=2000):
         has_neg = bool(np.any(m.interior < 0.0))
         out[name] = eigen_pencil(m, SPACING_PAIRS if name == "one" else WINDOW,
                                  WINDOW if has_neg else 0)
-    return grid, out
+    return out
 
 
 def check_analytic_spectrum(spectra, tol=1e-3):
@@ -70,18 +70,23 @@ def check_analytic_spectrum(spectra, tol=1e-3):
 
 def check_nodal_counts(spectra):
     """Criterion 2: every computed eigenfunction of nodal index k <= WINDOW
-    lies in S_k by order_by_nodal, in every sign class of every built-in
-    weight where that class is populated; the constant weight populates
-    k = 1..WINDOW completely."""
+    lies in S_k (k - 1 interior zeros, all simple, no anomaly) by a fresh
+    profile, in every sign class of every weight where that class is
+    populated; the constant weight populates k = 1..WINDOW completely."""
     details = {}
     ok = True
     for name, res in spectra.items():
-        for row in order_by_nodal(res)["rows"]:
-            ok = ok and (row["ok"] or row["k"] > WINDOW)
-            details[f"{name}{row['nu']}k{row['k']}"] = {
-                key: row[key] for key in ("mu", "zeros", "all_simple", "ok")}
-        for side, pairs in (("+", res.positive), ("-", res.negative)):
-            details[f"{name}{side}"] = sorted(p.k for p in pairs)
+        sides = (("+", res.positive), ("-", res.negative))
+        for side, pairs in sides:
+            for p in pairs:
+                profile = nodal_profile(p.phi)
+                good = profile.in_class(p.k)
+                ok = ok and (good or p.k > WINDOW)
+                details[f"{name}{side}k{p.k}"] = {
+                    "mu": p.mu, "zeros": profile.count,
+                    "all_simple": profile.is_nodal, "ok": good}
+        details.update((f"{name}{side}", sorted(p.k for p in pairs))
+                       for side, pairs in sides)
     one_ks = [p.k for p in spectra["one"].positive]
     if sorted(one_ks)[:WINDOW] != list(range(1, WINDOW + 1)):
         ok = False
@@ -103,7 +108,7 @@ def _shoot_brackets(extrapolated):
     return out
 
 
-def check_oracle_agreement(grid, spectra, tol=1e-6):
+def check_oracle_agreement(spectra, tol=1e-6):
     """Criterion 3: Richardson-extrapolated pencil eigenvalues agree with
     the shooting oracle to 1e-6 relative for every pair of nodal index
     <= WINDOW from criterion 2.  A shoot that finds no root in the bracket
@@ -112,7 +117,7 @@ def check_oracle_agreement(grid, spectra, tol=1e-6):
     for name, fn in WEIGHTS.items():
         fine = spectra[name]
         _, pos_x, neg_x = eigen_pencil_extrapolated(
-            fn, grid, len(fine.positive), len(fine.negative), fine=fine)
+            fn, fine.grid, len(fine.positive), len(fine.negative), fine=fine)
         for pairs, extr in ((fine.positive, pos_x), (fine.negative, neg_x)):
             brackets = _shoot_brackets(extr)
             for p, mu_x, bracket in zip(pairs, extr, brackets):
@@ -131,15 +136,15 @@ def check_oracle_agreement(grid, spectra, tol=1e-6):
             "n_eigenvalues": len(rows), "rows": rows}
 
 
-def check_degree_parity(spectra, samples_per_sign=25, seed=0):
-    """Criterion 4: det sign equals (-1)^count for 50 eigenvalue-avoiding
-    samples (both signs) on every built-in weight; zero mismatches."""
+def check_degree_parity(spectra, seed=0):
+    """Criterion 4: det sign equals (-1)^count for 2 * PARITY_SAMPLES
+    eigenvalue-avoiding samples (both signs) per weight; zero mismatches."""
     rng = np.random.default_rng(seed)
     reports = {}
     ok = True
     total = 0
     for name, res in spectra.items():
-        samples = parity_samples(res, rng, samples_per_sign, samples_per_sign)
+        samples = parity_samples(res, rng, PARITY_SAMPLES, PARITY_SAMPLES)
         rep = degree_parity_sweep(res.weight, samples, spectrum_result=res)
         reports[name] = {"all_match": rep["all_match"], "n": rep["n_samples"]}
         ok = ok and rep["all_match"]
@@ -236,7 +241,8 @@ BATTERY = (
 
 
 def run_branch_battery(grid, spectra):
-    """Trace the sigma = +/- halves for every battery row; 10 branches."""
+    """Trace the sigma = +/- halves for every battery row; 10 branches.
+    `grid` is not read: each window carries its own."""
     branches = []
     for weight_name, g_name, k, nu in BATTERY:
         res = spectra[weight_name]
@@ -288,7 +294,7 @@ def check_branch_invariants(branches):
     return report6, report7
 
 
-def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
+def check_nodal_solutions(spectra, residual_tol=1e-8, agree_tol=1e-4):
     """Criterion 8: the saturating-nonlinearity desk cases.
 
     For k = 1, 2 and gamma = 0.75 mu_k^+: both sigma solutions exist in
@@ -315,7 +321,7 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
             slope0 = derivative(u, 1).values[0]
             jerk0 = derivative(u, 3).values[0]
             u_shoot = shoot_nodal_solution(gamma, WEIGHTS["one"], f.f,
-                                           slope0, jerk0, grid)
+                                           slope0, jerk0, m.grid)
             agree = float(np.max(np.abs(u.values - u_shoot.values)))
             good = (profile.in_class(k, sigma)
                     and rmax <= residual_tol and agree <= agree_tol)
@@ -358,10 +364,12 @@ def check_nodal_solutions(grid, spectra, residual_tol=1e-8, agree_tol=1e-4):
 
 
 def check_spacing(spectra):
-    """Criterion 9: the `one` window's zero gaps are 1/j within 1e-3."""
-    rep = spacing_check(spectra["one"], tol=1e-3)
-    return {"criterion": 9, "passed": rep["all_pass"],
-            "worst": max(r["worst_abs_err"] for r in rep["rows"])}
+    """Criterion 9: the `one` window's zero gaps, endpoints included, are
+    those of sin(j pi t), 1/j, within 1e-3."""
+    errs = [np.diff([0.0] + find_zeros(p.phi) + [1.0]) - 1.0 / p.k
+            for p in spectra["one"].positive]
+    worst = max(float(np.max(np.abs(e))) for e in errs)
+    return {"criterion": 9, "passed": worst <= 1e-3, "worst": worst}
 
 
 def check_convergence_order(spectra):
@@ -391,29 +399,28 @@ LABELS = {
 }
 
 
-def verify_all(n=2000, seed=0, printer=print):
+def verify_all(n=2000, seed=0):
     """Run criteria 1..10 and return the list of report dicts; an n
     below MIN_BATTERY_N is refused before any work."""
     if n < MIN_BATTERY_N:
         raise TooCoarse(f"the battery needs n >= {MIN_BATTERY_N}, got {n}: "
                         f"criterion 10's coarsest rung has n // 4 interior nodes")
-    grid, spectra = compute_spectra(n)
+    spectra = compute_spectra(n)
     reports = [
         check_analytic_spectrum(spectra),
         check_nodal_counts(spectra),
-        check_oracle_agreement(grid, spectra),
+        check_oracle_agreement(spectra),
         check_degree_parity(spectra, seed=seed),
         check_sturm_suite(seed=seed + 12345),
     ]
-    branches = run_branch_battery(grid, spectra)
+    branches = run_branch_battery(spectra["one"].grid, spectra)
     r6, r7 = check_branch_invariants(branches)
     reports.extend([r6, r7,
-                    check_nodal_solutions(grid, spectra),
+                    check_nodal_solutions(spectra),
                     check_spacing(spectra),
                     check_convergence_order(spectra)])
     reports.sort(key=lambda r: r["criterion"])
-    if printer is not None:
-        for r in reports:
-            status = "PASS" if r["passed"] else "FAIL"
-            printer(f"{status}: criterion {r['criterion']:2d} - {LABELS[r['criterion']]}")
+    for r in reports:
+        status = "PASS" if r["passed"] else "FAIL"
+        print(f"{status}: criterion {r['criterion']:2d} - {LABELS[r['criterion']]}")
     return reports, branches

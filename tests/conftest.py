@@ -1,3 +1,4 @@
+import signal
 from collections import Counter
 
 import numpy as np
@@ -9,10 +10,9 @@ from beamspec.spectrum import eigen_pencil
 
 
 @pytest.fixture(scope="session")
-def state():
+def spectra():
     """The battery's pencil windows at n = 2000, one decomposition per weight."""
-    grid, spectra = verify.compute_spectra(2000)
-    return {"grid": grid, "spectra": spectra}
+    return verify.compute_spectra(2000)
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +38,20 @@ def sin3pi800(grid800):
 @pytest.fixture(scope="session")
 def spectrum_sin3pi800(sin3pi800):
     return eigen_pencil(sin3pi800, 4, 4)
+
+
+@pytest.fixture
+def time_limit():
+    """time_limit(seconds) fails the test once it has run that long in
+    wall time, so a hang fails its own case instead of stalling the suite.
+    The alarm interrupts Python code between bytecodes, not a call into C."""
+    def expire(signum, frame):
+        pytest.fail("the test ran past its time limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

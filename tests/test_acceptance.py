@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
 The heavy shared state is computed once: the pencil windows at n = 2000
-(the session fixture `state`) and the traced branch battery (per module).
+(the session fixture `spectra`) and the traced branch battery (per module).
 Each test prints its own PASS/FAIL line so a -s run reads as a checklist.
 """
 
@@ -18,8 +18,8 @@ def decompositions(count_calls):
 
 
 @pytest.fixture(scope="module")
-def branches(state):
-    return verify.run_branch_battery(state["grid"], state["spectra"])
+def branches(spectra):
+    return verify.run_branch_battery(spectra["one"].grid, spectra)
 
 
 def _finish(report):
@@ -29,36 +29,33 @@ def _finish(report):
     assert report["passed"], report
 
 
-def test_criterion_01_analytic_spectrum(state):
-    report = verify.check_analytic_spectrum(state["spectra"], tol=1e-3)
+def test_criterion_01_analytic_spectrum(spectra):
+    report = verify.check_analytic_spectrum(spectra, tol=1e-3)
     assert len(report["rel_errors"]) == 6
     _finish(report)
 
 
-def test_criterion_02_nodal_count_law(state):
-    _finish(verify.check_nodal_counts(state["spectra"]))
+def test_criterion_02_nodal_count_law(spectra):
+    _finish(verify.check_nodal_counts(spectra))
 
 
-def test_criterion_03_oracle_agreement(state):
-    report = verify.check_oracle_agreement(state["grid"], state["spectra"],
-                                           tol=1e-6)
+def test_criterion_03_oracle_agreement(spectra):
+    report = verify.check_oracle_agreement(spectra, tol=1e-6)
     assert report["n_eigenvalues"] >= 20
     _finish(report)
 
 
-def test_criterion_03_takes_137_determinants(state, count_calls):
+def test_criterion_03_takes_137_determinants(spectra, count_calls):
     # each of the 29 centred shoots closes after 4 determinants but a few;
     # a change in the oracle's work shows here before it shows in time
     determinants = count_calls(shooting, "_finite_determinant")
-    report = verify.check_oracle_agreement(state["grid"], state["spectra"],
-                                           tol=1e-6)
+    report = verify.check_oracle_agreement(spectra, tol=1e-6)
     assert report["n_eigenvalues"] == 29
     assert determinants.total() == 137
 
 
-def test_criterion_04_degree_parity(state):
-    report = verify.check_degree_parity(state["spectra"], samples_per_sign=25,
-                                        seed=0)
+def test_criterion_04_degree_parity(spectra):
+    report = verify.check_degree_parity(spectra, seed=0)
     assert report["total_samples"] >= 150
     _finish(report)
 
@@ -81,9 +78,9 @@ def test_criterion_07_branch_containment(branches):
     _finish(report7)
 
 
-def test_criterion_08_nodal_solutions(state, decompositions):
-    report = verify.check_nodal_solutions(state["grid"], state["spectra"],
-                                          residual_tol=1e-8, agree_tol=1e-4)
+def test_criterion_08_nodal_solutions(spectra, decompositions):
+    report = verify.check_nodal_solutions(spectra, residual_tol=1e-8,
+                                          agree_tol=1e-4)
     details = report["details"]
     assert details["inadmissible_rejected"]
     if details["range_driver"].get("skipped"):
@@ -93,14 +90,14 @@ def test_criterion_08_nodal_solutions(state, decompositions):
     _finish(report)
 
 
-def test_criterion_09_zero_spacing(state, decompositions):
-    report = verify.check_spacing(state["spectra"])
+def test_criterion_09_zero_spacing(spectra, decompositions):
+    report = verify.check_spacing(spectra)
     assert decompositions == {}
     _finish(report)
 
 
-def test_criterion_10_convergence_order(state, decompositions):
-    report = verify.check_convergence_order(state["spectra"])
+def test_criterion_10_convergence_order(spectra, decompositions):
+    report = verify.check_convergence_order(spectra)
     for ratio in report["ratios"]:
         assert 3.8 <= ratio <= 4.2
     # the finest rung is the `one` window itself

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beamspec.analysis import degree_parity_sweep, spacing_check, sturm_check
+from beamspec.analysis import degree_parity_sweep, sturm_check
 from beamspec.errors import HypothesisViolated
 from beamspec.grid import make_grid, sample
 
@@ -81,14 +81,3 @@ def test_sturm_rejects_non_solution(spectrum_one800, one800):
     # corrupted pair: u2 replaced by u1, which does not solve equation 2
     with pytest.raises(HypothesisViolated):
         sturm_check(p1.mu * one800, p2.mu * one800, p1.phi, p1.phi)
-
-
-def test_spacing_small_cases(spectrum_one800):
-    rep = spacing_check(spectrum_one800, tol=1e-3)
-    assert rep["all_pass"]
-    by_j = {r["j"]: r for r in rep["rows"]}
-    assert len(by_j[2]["gaps"]) == 2
-    assert by_j[2]["gaps"][0] == pytest.approx(0.5, abs=1e-3)
-    assert len(by_j[5]["gaps"]) == 5
-    for gap in by_j[5]["gaps"]:
-        assert gap == pytest.approx(0.2, abs=1e-3)

@@ -319,6 +319,10 @@ def _malformed_files(tmp_path):
     (["solve", "--gamma", "70", "--f-table", "{table}"], 2),
     (["degree", "--samples", "-2"], 2),
     (["degree", "--seed", "-1"], 2),
+    # only the randomized commands take a seed
+    (["spectrum", "--seed", "1"], 1),
+    (["branch", "--seed", "1"], 1),
+    (["solve", "--gamma", "70", "--seed", "1"], 1),
     (["sturm", "--pairs", "0"], 2),
     (["branch", "--norm-budget", "-5"], 2),
     (["branch", "--max-steps", "0"], 2),
@@ -341,6 +345,8 @@ def _malformed_files(tmp_path):
     # a predictor whose E-norm overflows fails its step, and ds halves
     (["branch", "--norm-budget", "1e308", "--ds", "1e307", "--ds-max", "1e308",
       "--sigma", "+"], 3),
+    # halving keeps an infinite ds infinite: refused before any step
+    (["branch", "--ds", "inf", "--ds-max", "inf", "--norm-budget", "inf"], 2),
     (["branch", "--weight", "{header}"], 2),
     (["branch", "--weight", "{onerow}"], 2),
     (["solve", "--gamma", "73.05", "--f-table", "{header}"], 2),
@@ -357,16 +363,21 @@ def _malformed_files(tmp_path):
 ], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
+        "spectrum-seed", "branch-seed", "solve-seed",
         "sturm-zero-pairs", "branch-negative-norm-budget", "branch-max-steps-0",
         "branch-max-steps-negative", "branch-k-0", "solve-k-0",
         "spectrum-kneg-minus-2", "spectrum-weight-directory", "branch-ds-overflow",
         "solve-infinite-gain", "solve-table-infinite-f0", "solve-table-infinite-finf",
-        "branch-enorm-overflow", "branch-header-only-weight", "branch-one-row-weight",
+        "branch-enorm-overflow", "branch-infinite-ds", "branch-header-only-weight",
+        "branch-one-row-weight",
         "solve-header-only-table", "degree-samples-above-maximum",
         "solve-overflowing-gain", "branch-unknown-perturbation",
         "solve-unknown-nonlinearity", "spectrum-n-above-maximum",
         "sturm-pairs-above-maximum"])
-def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, argv, code):
+def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, time_limit,
+                                                argv, code):
+    # the slowest case takes about 1.5 s; a hang fails its case
+    time_limit(60)
     files = _malformed_files(tmp_path)
     # the defaults go before the case's own options, so a case's --n wins
     argv = argv[:1] + ["--n", "300", "--out", str(tmp_path / "out")] + [

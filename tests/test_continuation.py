@@ -10,7 +10,7 @@ from beamspec.continuation import (GROW_FACTOR, ContinuationConfig,
                                    admissible_interval, bifurcation_start,
                                    cross_hyperplane, solve_nodal, trace_branch)
 from beamspec.errors import (GammaNotAdmissible, NoConvergence, NoCrossing,
-                             NotInWeightClass, StartFailure)
+                             NotInWeightClass, StartFailure, ValidationError)
 from beamspec.grid import e_norm, interior_dot, make_grid, sample
 from beamspec.linops import SecondDiffOperator, _MixedLU
 from beamspec.nodal import TRIVIAL_TOL, nodal_profile
@@ -211,6 +211,26 @@ def test_a_step_onto_the_trivial_line_ends_the_branch_as_a_collapse(one300):
     assert branch.flags[0].startswith("falsification: amplitude collapse at mu=")
     # the step on the trivial line keeps no point
     assert all(p.norm > TRIVIAL_TOL for p in branch.points)
+
+
+def test_a_collapsed_first_step_keeps_no_point(one300):
+    # at gain 1e12 the first corrected step already lies near u = 0 (E-norm
+    # about 7e-10 against the start's 9.3e-4): the collapse rule judges it
+    # like every later step, so no kept point falls below a tenth of the start
+    spec = AutonomousProblem(m=one300, gamma=70, f=saturating_f(gain=1e12))
+    start = bifurcation_start(1, +1, +1, spec, widest_resolvable_window(one300))
+    branch = trace_branch(start, spec, stop_at_mu=1.0)
+    assert branch.termination == continuation.TERM_STEP_FAILURE
+    assert branch.flags[0].startswith("falsification: amplitude collapse at mu=")
+    assert all(p.norm >= 0.1 * start.norm for p in branch.points)
+
+
+@pytest.mark.parametrize("ds, ds_max", [(math.inf, math.inf), (math.nan, 1.0)],
+                         ids=["infinite", "nan"])
+def test_config_refuses_a_non_finite_first_step(ds, ds_max):
+    # halving keeps an infinite ds infinite, so its step would never end
+    with pytest.raises(ValidationError, match="finite ds"):
+        ContinuationConfig(ds=ds, ds_max=ds_max)
 
 
 def test_arclength_increment_is_the_secant_length(setup):
@@ -466,10 +486,10 @@ def test_bordered_step_matches_dense_solve(weight, k):
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-def test_bordered_step_regular_where_pivot_test_fired(state):
+def test_bordered_step_regular_where_pivot_test_fired(spectra):
     # sin3pi, k = 4 at n = 2000: a pivot-size test on the assembled bordered
     # matrix called this start singular; block elimination solves it
-    res = state["spectra"]["sin3pi"]
+    res = spectra["sin3pi"]
     a, fu, fmu, r1, r2, row_u, (du, dw, dmu) = _start_system(res, 4)
     e1 = -r1 - (a.apply(du) - dw)
     e2 = -r2 - (a.apply(dw) - fu * du - fmu * dmu)

@@ -13,11 +13,11 @@ from beamspec import shooting, spectrum
 from beamspec.errors import (NoConvergence, NodalMismatch, NoSignChange, NotInWeightClass,
                              ValidationError)
 from beamspec.grid import make_grid, sample
+from beamspec.linops import det_sign_psi
 from beamspec.presets import WEIGHTS, weight
 from beamspec.shooting import boundary_determinant, shoot_eigenvalue
-from beamspec.spectrum import (MAX_PAIRS, EigenPair, SpectrumResult, eigen_pencil,
-                               eigen_pencil_extrapolated, order_by_nodal,
-                               widest_resolvable_window)
+from beamspec.spectrum import (MAX_PAIRS, SpectrumResult, eigen_pencil,
+                               eigen_pencil_extrapolated, widest_resolvable_window)
 
 
 def test_constant_weight_analytic(spectrum_one800):
@@ -72,6 +72,26 @@ def test_scale_covariance(grid800):
         agree = min(np.max(np.abs(q.phi.values - p.phi.values)),
                     np.max(np.abs(q.phi.values + p.phi.values)))
         assert agree <= 1e-7
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_power_of_two_scaling_is_exact(name):
+    # m -> 4m multiplies G by 4 without rounding: every eigenvalue is
+    # exactly a quarter, and labels, eigenvector bits and flags stay;
+    # mu (4m) and (4 mu) m are the same products, so the determinant
+    # signs agree at every shift
+    m = sample(WEIGHTS[name], make_grid(300))
+    res, res4 = widest_resolvable_window(m), widest_resolvable_window(4.0 * m)
+    assert res4.flags == res.flags
+    pairs, pairs4 = res.positive + res.negative, res4.positive + res4.negative
+    assert [(q.k, q.rank, q.nu) for q in pairs4] == [(p.k, p.rank, p.nu) for p in pairs]
+    for p, q in zip(pairs, pairs4):
+        assert q.mu == p.mu / 4.0
+        assert q.phi.values.tobytes() == p.phi.values.tobytes()
+    reach = 1.2 * max(abs(p.mu) for p in pairs) / 4.0
+    shifts = np.random.default_rng(sorted(WEIGHTS).index(name)).uniform(-reach, reach, 40)
+    for mu in shifts:
+        assert det_sign_psi(mu, 4.0 * m) == det_sign_psi(4.0 * mu, m)
 
 
 def test_grid_convergence_second_order():
@@ -491,18 +511,3 @@ def test_extrapolation_takes_only_eigenvalues_from_the_coarse_grid(name, monkeyp
         fn, grid, len(fine.positive), len(fine.negative), fine=fine)
     assert len(pos_x + neg_x) == len(expected) == len(fine.positive) + len(fine.negative)
     np.testing.assert_allclose(pos_x + neg_x, expected, rtol=1e-11, atol=0.0)
-
-
-def test_order_by_nodal_accepts_good(spectrum_one800):
-    assert order_by_nodal(spectrum_one800)["ok"]
-
-
-def test_order_by_nodal_flags_swap(spectrum_one800):
-    # negative control: relabel the k=2 pair as k=1
-    bad_pair = EigenPair(k=1, nu=+1, mu=spectrum_one800.positive[1].mu,
-                         phi=spectrum_one800.positive[1].phi, rank=1)
-    doctored = SpectrumResult(positive=(bad_pair,), negative=(),
-                              weight=spectrum_one800.weight, flags=())
-    report = order_by_nodal(doctored)
-    assert not report["ok"]
-    assert report["violations"]
