@@ -24,9 +24,11 @@ def parity_samples(spectrum_result, rng, n_pos, n_neg):
     """mu samples for degree_parity_sweep, drawn inside the computed spectrum.
 
     Draws n_pos positive samples, then n_neg negative ones, uniformly up to
-    0.97 times the outermost computed eigenvalue of each sign.  A sign with
-    no computed eigenvalue (the weight has no part of that sign, so every
-    sample there expects parity +1) reaches 1.5 times as far as the other.
+    0.97 times the outermost computed eigenvalue of each sign, starting
+    1e-3 from mu = 0, or a thousandth of the reach when it is below 1.  A
+    sign with no computed eigenvalue (the weight has no part of that sign,
+    so every sample there expects parity +1) reaches 1.5 times as far as
+    the other.
     """
     pos = [p.mu for p in spectrum_result.positive]
     neg = [p.mu for p in spectrum_result.negative]
@@ -34,8 +36,8 @@ def parity_samples(spectrum_result, rng, n_pos, n_neg):
         raise NotInWeightClass("no computed eigenvalue of either sign to sample against")
     hi = 0.97 * max(pos) if pos else -1.5 * min(neg)
     lo = 0.97 * min(neg) if neg else -1.5 * max(pos)
-    return np.concatenate([rng.uniform(1e-3, hi, n_pos),
-                           rng.uniform(lo, -1e-3, n_neg)])
+    return np.concatenate([rng.uniform(min(1e-3, 1e-3 * hi), hi, n_pos),
+                           rng.uniform(lo, max(-1e-3, 1e-3 * lo), n_neg)])
 
 
 def degree_parity_sweep(m, mu_samples, spectrum_result):

@@ -27,13 +27,13 @@ hyperplane mu = 1, and polishes the crossing point, which solves the
 original problem, to CORRECTOR_TOL with no amplitude factor.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AsymptoticMismatch, GammaNotAdmissible, NoConvergence,
-                     NoCrossing, SingularJacobian, StartFailure,
-                     StepFailure, TrivialFunction, ValidationError)
+from .errors import (GammaNotAdmissible, NoConvergence, NoCrossing,
+                     SingularJacobian, StartFailure, StepFailure,
+                     TrivialFunction, ValidationError)
 from .grid import SampledFn, e_norm, from_interior
 from .nodal import nodal_profile
 from .nonlinear import (AutonomousProblem, check_asymptotics, fp_residual,
@@ -84,10 +84,6 @@ class BranchPoint:
     norm: float           # e_norm(u), as profile.norm
     profile: object       # NodalProfile
     arclength: float
-    k: int
-    nu: int
-    sigma: int
-    origin_mu: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class Branch:
     sigma: int
     origin_mu: float
     points: tuple
-    termination: str
+    termination: str     # None until trace_branch has traced the branch
     flags: tuple
 
 
@@ -121,7 +117,8 @@ def _validate_trivial_line(spec, mu):
 
 
 def bifurcation_start(k, nu, sigma, spec, spectrum_result):
-    """First nontrivial point of the (k, nu, sigma) half-branch.
+    """The (k, nu, sigma) half-branch as its first nontrivial point: a
+    one-point Branch, untraced (termination None).
 
     Predictor (origin_mu, eps * sigma * phi_k^nu), polished by one
     amplitude-pinned bordered correction: mu is freed on the hyperplane
@@ -149,15 +146,15 @@ def bifurcation_start(k, nu, sigma, spec, spectrum_result):
                            max_iter=MAX_CORRECTOR_ITER,
                            border=(phi.grid.h * phi.interior, 0.0))
             profile = nodal_profile(u)
-            norm = profile.norm
             defect = profile.class_defect(k, sigma)
-            if defect is None and norm <= 1.05 * eps:
-                return BranchPoint(mu=mu, u=u, norm=norm, profile=profile,
-                                   arclength=0.0, k=k, nu=nu, sigma=sigma,
-                                   origin_mu=origin_mu)
+            if defect is None and profile.norm <= 1.05 * eps:
+                point = BranchPoint(mu=mu, u=u, norm=profile.norm,
+                                    profile=profile, arclength=0.0)
+                return Branch(k=k, nu=nu, sigma=sigma, origin_mu=origin_mu,
+                              points=(point,), termination=None, flags=())
             last_exc = StartFailure(
                 f"polished point {defect or 'exceeds 1.05 eps'}, "
-                f"e_norm {norm:.3e} at eps={eps:.2e}")
+                f"e_norm {profile.norm:.3e} at eps={eps:.2e}")
         except (NoConvergence, SingularJacobian) as exc:
             last_exc = exc
         eps *= 0.5
@@ -165,7 +162,8 @@ def bifurcation_start(k, nu, sigma, spec, spectrum_result):
 
 
 def trace_branch(start, spec, config=None, stop_at_mu=None):
-    """Pseudo-arclength continuation from a polished start point.
+    """Extend the one-point start of bifurcation_start by pseudo-arclength
+    continuation: the same Branch, with its points, termination and flags.
 
     Secant tangent predictor, bordered Newton corrector on the hyperplane
     through the predictor normal to the tangent; after each accepted step
@@ -180,8 +178,9 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     if config is None:
         config = ContinuationConfig()
     h = spec.grid.h
-    k, nu, sigma = start.k, start.nu, start.sigma
-    points = [start]
+    k, sigma = start.k, start.sigma
+    (first,) = start.points
+    points = [first]
     flags = []
     termination = TERM_MAX_STEPS
 
@@ -189,8 +188,8 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     # its length in the arclength metric, where mu is scaled by its origin
     # magnitude so that parameter and solution motion weigh comparably
     mu_scale = max(1.0, abs(start.origin_mu))
-    du = start.u.interior
-    dmu = (start.mu - start.origin_mu) / mu_scale
+    du = first.u.interior
+    dmu = (first.mu - start.origin_mu) / mu_scale
     step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
     ds_max = min(config.ds_max, config.norm_budget)
     ds = min(config.ds, ds_max)
@@ -222,17 +221,16 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                 accepted = (u, mu, profile)
             except (NoConvergence, SingularJacobian, StepFailure) as exc:
                 if ds <= DS_MIN:
-                    return Branch(k=k, nu=nu, sigma=sigma,
-                                  origin_mu=start.origin_mu,
-                                  points=tuple(points),
-                                  termination=TERM_STEP_FAILURE,
-                                  flags=tuple(flags + [f"step failure: {exc}"]))
+                    return replace(start, points=tuple(points),
+                                   termination=TERM_STEP_FAILURE,
+                                   flags=tuple(flags + [f"step failure: {exc}"]))
                 ds = max(0.5 * ds, DS_MIN)
 
         u, mu, profile = accepted
-        if profile is None or profile.norm < 0.1 * start.norm:
-            # amplitude collapsed back to the trivial line: would mean the
-            # branch met another bifurcation point, which containment forbids
+        if profile is None or profile.norm < 0.1 * first.norm:
+            # amplitude collapsed back to the trivial line.  Containment in
+            # S_k^sigma forbids meeting (mu_j, 0) with j != k, not (mu_k^-nu,
+            # 0), whose eigenfunction lies in S_k too (linear_ramp, k = 1)
             flags.append(f"falsification: amplitude collapse at mu={mu:.6g}")
             termination = TERM_STEP_FAILURE
             break
@@ -240,8 +238,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
         dmu = (mu - cur.mu) / mu_scale
         step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
         points.append(BranchPoint(mu=mu, u=u, norm=profile.norm, profile=profile,
-                                  arclength=cur.arclength + step_len, k=k, nu=nu,
-                                  sigma=sigma, origin_mu=start.origin_mu))
+                                  arclength=cur.arclength + step_len))
         if stop_at_mu is not None and (cur.mu - stop_at_mu) * (mu - stop_at_mu) <= 0.0:
             termination = TERM_HYPERPLANE
             break
@@ -251,9 +248,8 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
         if ds < ds_max:
             ds = min(ds * GROW_FACTOR, ds_max)
 
-    return Branch(k=k, nu=nu, sigma=sigma, origin_mu=start.origin_mu,
-                  points=tuple(points), termination=termination,
-                  flags=tuple(flags))
+    return replace(start, points=tuple(points), termination=termination,
+                   flags=tuple(flags))
 
 
 def cross_hyperplane(branch, spec):
@@ -307,9 +303,7 @@ def solve_nodal(gamma, f, m, k, nu, sigma, config=None, spectrum_result=None):
     the hyperplane mu = 1 and returns the crossing solution.  Without a
     spectrum_result, k is looked up in widest_resolvable_window(m).
     """
-    _, _, h1_ok = check_asymptotics(f)
-    if not h1_ok:
-        raise AsymptoticMismatch("sign condition f(s) s > 0 fails on samples")
+    check_asymptotics(f)
     if spectrum_result is None:
         spectrum_result = widest_resolvable_window(m)
     pair = spectrum_result.pair(k, nu)

@@ -253,14 +253,14 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
 
 
 def check_asymptotics(f):
-    """Estimate f0 and finf from samples and compare with the declared values.
+    """Decide the hypotheses on f from samples; return (f0_hat, finf_hat).
 
-    f0_hat averages f(s)/s over s = +-1e-7, finf_hat over s = +-1e6;
-    h1_ok is min of f(s) s > 0 over log-spaced s of both signs.  Raises
-    AsymptoticMismatch when a declared slope is not positive and finite,
-    before f is sampled, when a declared slope is off by more than
-    SLOPE_RTOL relative or its estimate is not a number, and on a
-    non-finite sample of f.
+    f0_hat averages f(s)/s over s = +-1e-9, where 1 + s^2 rounds to 1,
+    and finf_hat over s = +-1e6.  Raises AsymptoticMismatch when a
+    declared slope is not positive and finite, before f is sampled; when
+    a declared slope is off by more than SLOPE_RTOL relative or its
+    estimate is not a number; on a non-finite sample of f; and when the
+    sign condition f(s) s > 0 fails on log-spaced s of both signs.
     """
     for declared, label in ((f.f0, "f0"), (f.finf, "finf")):
         # a relative tolerance on an infinite slope would pass any estimate
@@ -273,10 +273,10 @@ def check_asymptotics(f):
     # a huge slope overflows the samples: refused by name, not warned about
     s_grid = np.concatenate([np.logspace(-7, 6, 40), -np.logspace(-7, 6, 40)])
     with np.errstate(all="ignore"):
-        f0_hat = 0.5 * (ratio(1e-7) + ratio(-1e-7))
+        f0_hat = 0.5 * (ratio(1e-9) + ratio(-1e-9))
         finf_hat = 0.5 * (ratio(1e6) + ratio(-1e6))
         f_grid = f.f(s_grid)
-        h1_ok = bool(np.min(f_grid * s_grid) > 0.0)
+        signs_ok = np.min(f_grid * s_grid) > 0.0
     for declared, measured, label in ((f.f0, f0_hat, "f0"), (f.finf, finf_hat, "finf")):
         if not abs(measured - declared) <= SLOPE_RTOL * declared:
             raise AsymptoticMismatch(
@@ -284,4 +284,6 @@ def check_asymptotics(f):
     if not np.all(np.isfinite(f_grid)):
         raise AsymptoticMismatch(
             f"sample f({s_grid[~np.isfinite(f_grid)][0]:g}) is not finite")
-    return f0_hat, finf_hat, h1_ok
+    if not signs_ok:
+        raise AsymptoticMismatch("sign condition f(s) s > 0 fails on samples")
+    return f0_hat, finf_hat

@@ -30,10 +30,15 @@ square-root factor A of K = A o A:
 
 G is symmetric, formed by two solve passes on the grid's one LDL^T
 factor of A (dpttrf/dpttrs), and diagonalized with a dense symmetric
-eigensolver.  Reducing through A rather than through a
-triangular Cholesky factor of K keeps the backward error at eps*cond(A)
-instead of eps*cond(K) = eps*cond(A)^2, which at n = 2000 is the
-difference between 1e-10 and 1e-4 of relative eigenvalue noise.
+eigensolver.  Reducing through A rather than through a triangular
+Cholesky factor of K keeps the backward error at eps*cond(A) instead of
+eps*cond(K) = eps*cond(A)^2, which at n = 2000 is the difference
+between 1e-10 and 1e-4 of relative eigenvalue noise.
+
+Only _decompose sees G.  Per side it hands over at most the requested
+count of eigenvalues mu, in ascending |mu|, and on request their
+eigenvectors u as interior columns; a banded or iterative replacement
+of the dense G need honour only that contract, not find all n pairs.
 """
 
 import ctypes
@@ -43,7 +48,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import NodalMismatch, NotInWeightClass, ValidationError
-from .grid import SampledFn, e_norm, from_interior, make_grid, sample
+from .grid import SampledFn, from_interior, make_grid, sample
 from .linops import SecondDiffOperator
 from .nodal import nodal_profile
 
@@ -134,12 +139,15 @@ class SpectrumResult:
         }
 
 
-def _decompose(m, vectors):
-    """One eigh of G = A^-1 M A^-1 for the weight m, split by sign.
+def _decompose(m, count_pos, count_neg, vectors):
+    """The leading pencil eigenpairs of each sign for the weight m.
 
-    Returns the eigenvalues nu of G, its eigenvectors (None unless
-    vectors), and the indices of the positive and of the negative nu
-    beyond NULL_TOL, each in ascending |mu| = 1/|nu|.
+    Returns (mus, us) for the positive side, then for the negative side:
+    mus holds at most count of the side's eigenvalues in ascending |mu|,
+    and us their eigenvectors u = A^-1 y as interior columns, or None
+    unless vectors.  An eigenvalue nu of G within NULL_TOL * max|nu| of
+    zero belongs to neither side.  One dense eigh of G computes them
+    here; a replacement need only honour this contract.
     """
     a = SecondDiffOperator(m.grid)
     # the free heap the smaller arrays keep would add to the peak below
@@ -152,16 +160,19 @@ def _decompose(m, vectors):
     if vectors:
         vals, vecs = eigh(g, overwrite_a=True)
     else:
-        vals, vecs = eigh(g, overwrite_a=True, eigvals_only=True), None
-
+        vals = eigh(g, overwrite_a=True, eigvals_only=True)
     tau = NULL_TOL * np.max(np.abs(vals))
-    pos_idx = np.argsort(-vals)[: np.count_nonzero(vals > tau)]
-    neg_idx = np.argsort(vals)[: np.count_nonzero(vals < -tau)]
-    return vals, vecs, pos_idx, neg_idx
+
+    def side(sign, count):
+        count = min(count, np.count_nonzero(sign * vals > tau))
+        order = np.argsort(-sign * vals)[:count]
+        return 1.0 / vals[order], a.solve(vecs[:, order]) if vectors else None
+
+    return side(+1, count_pos), side(-1, count_neg)
 
 
 def _pencil(m, count_pos, count_neg):
-    """One eigh of G; each side classified in magnitude order up to its count.
+    """One decomposition; each side classified in magnitude order up to its count.
 
     A side stops before its first pair the grid cannot certify (not nodal,
     an anomaly, or a repeated k).  Returns the SpectrumResult of the
@@ -178,19 +189,14 @@ def _pencil(m, count_pos, count_neg):
         count_neg = 0
 
     grid = m.grid
-    a = SecondDiffOperator(grid)
-    vals, vecs, pos_idx, neg_idx = _decompose(m, vectors=True)
 
-    def build(indices, count, sign):
+    def build(mus, us, sign):
         pairs, seen = [], {}
-        for rank in range(min(count, len(indices))):
-            i = indices[rank]
-            mu = 1.0 / vals[i]
-            phi = from_interior(grid, a.solve(vecs[:, i]))
-            phi = SampledFn(grid, phi.values / e_norm(phi))
-            profile = nodal_profile(phi)
-            if profile.sigma < 0:
-                phi = -phi
+        for rank, mu in enumerate(mus):
+            u = from_interior(grid, us[:, rank])
+            profile = nodal_profile(u)
+            # E-norm 1, positive just right of t = 0
+            phi = SampledFn(grid, u.values / (profile.sigma * profile.norm))
             k = profile.count + 1
             defect = profile.class_defect(k)
             if defect is not None:
@@ -205,8 +211,9 @@ def _pencil(m, count_pos, count_neg):
             pairs.append(EigenPair(k=k, nu=sign, mu=mu, phi=phi, rank=rank + 1))
         return tuple(pairs), None
 
-    positive, pos_error = build(pos_idx, count_pos, +1)
-    negative, neg_error = build(neg_idx, count_neg, -1)
+    pos, neg = _decompose(m, count_pos, count_neg, vectors=True)
+    positive, pos_error = build(*pos, +1)
+    negative, neg_error = build(*neg, -1)
 
     for side_name, seq in (("positive", positive), ("negative", negative)):
         ks = [p.k for p in seq]
@@ -268,15 +275,13 @@ def eigen_pencil_extrapolated(weight_fn, grid, count_pos, count_neg, fine=None):
     """
     if fine is None:
         fine = eigen_pencil(sample(weight_fn, grid), count_pos, count_neg)
-    coarse_grid = make_grid(grid.n_interior // 2)
-    vals, _, pos_idx, neg_idx = _decompose(sample(weight_fn, coarse_grid),
-                                           vectors=False)
-    h1, h2 = coarse_grid.h, grid.h
+    coarse = sample(weight_fn, make_grid(grid.n_interior // 2))
+    (pos_mus, _), (neg_mus, _) = _decompose(coarse, len(fine.positive),
+                                            len(fine.negative), vectors=False)
+    h1, h2 = coarse.grid.h, grid.h
     wt = 1.0 / (h1**2 - h2**2)
 
-    def combine(fine_pairs, coarse_idx):
-        return [wt * (h1**2 * f.mu - h2**2 * (1.0 / vals[i]))
-                for f, i in zip(fine_pairs, coarse_idx)]
+    def combine(fine_pairs, coarse_mus):
+        return [wt * (h1**2 * f.mu - h2**2 * mu) for f, mu in zip(fine_pairs, coarse_mus)]
 
-    return fine, combine(fine.positive, pos_idx), combine(fine.negative, neg_idx)
-
+    return fine, combine(fine.positive, pos_mus), combine(fine.negative, neg_mus)

@@ -14,7 +14,7 @@ from beamspec import shooting, spectrum, verify
 def decompositions(count_calls):
     """Grid size of every dense pencil decomposition a test runs."""
     return count_calls(spectrum, "_decompose",
-                       key=lambda m, vectors: m.grid.n_interior)
+                       key=lambda m, count_pos, count_neg, vectors: m.grid.n_interior)
 
 
 @pytest.fixture(scope="module")

@@ -84,7 +84,7 @@ def test_solve_command_and_rejection(tmp_path):
 def _atan_table(path):
     # f(s) = 3 s - 2 atan s has slope 1 at zero and 3 at infinity; knots
     # 5e-4 apart inside +-0.05 keep the chord slope the asymptotics check
-    # samples at s = +-1e-7 within its 1e-3 tolerance of f0 = 1
+    # samples at s = +-1e-9 within its 1e-3 tolerance of f0 = 1
     outer = 0.05 * np.arange(2, 201)
     s = np.concatenate([-outer[::-1], np.linspace(-0.05, 0.05, 201), outer])
     rows = "".join(f"{x:.17g},{3.0 * x - 2.0 * np.arctan(x):.17g}\n" for x in s)
@@ -113,6 +113,24 @@ def test_solve_command_with_f_table(tmp_path):
     assert code == 0
     assert os.path.exists(out / "solution_k1_p_p.csv")
     _manifest_checks_out(out)
+
+
+def test_solve_refuses_the_sign_condition_before_the_window(tmp_path, capsys,
+                                                           monkeypatch):
+    # both slopes are 1, but f(s) s < 0 on part of (0, 1): the early
+    # hypothesis check refuses f before the pencil window is computed
+    from beamspec import cli
+    calls = []
+    monkeypatch.setattr(cli, "widest_resolvable_window", lambda m: calls.append(m))
+    s = [-10.0, -0.05, 0.0, 0.05, 0.1, 0.3, 0.8, 10.0]
+    f = [-10.0, -0.05, 0.0, 0.05, 0.1, -0.5, 0.8, 10.0]
+    table = tmp_path / "f.csv"
+    table.write_text("s,f\n" + "".join(f"{a},{b}\n" for a, b in zip(s, f)))
+    assert run(["solve", "--n", "48", "--gamma", "70", "--f-table", str(table),
+                "--f0", "1", "--finf", "1", "--out", str(tmp_path / "out")]) == 2
+    assert ("AsymptoticMismatch: sign condition f(s) s > 0 fails on samples"
+            in capsys.readouterr().err)
+    assert calls == []
 
 
 def test_huge_first_step_is_capped_at_the_norm_budget(tmp_path, capsys, monkeypatch):
@@ -295,6 +313,7 @@ def _malformed_files(tmp_path):
     g = make_grid(300)
     to_csv(sample(lambda t: -1.0 - 0.1 * t, g), tmp_path / "neg.csv")
     to_csv(sample(lambda t: 0.0 * t, g), tmp_path / "zero.csv")
+    to_csv(sample(lambda t: 1e300 * (1.0 - 2.0 * t), g), tmp_path / "huge.csv")
     to_csv(sample(lambda t: np.sin(3 * np.pi * t), g), tmp_path / "nan.csv")
     rows = (tmp_path / "nan.csv").read_text().splitlines()
     rows[5] = rows[5].split(",")[0] + ",nan"
@@ -304,7 +323,8 @@ def _malformed_files(tmp_path):
     (tmp_path / "header.csv").write_text("t,value\n")
     (tmp_path / "onerow.csv").write_text("t,value\n0,0\n")
     return {name: str(tmp_path / f"{name}.csv")
-            for name in ("neg", "zero", "nan", "table", "identity", "header", "onerow")}
+            for name in ("neg", "zero", "huge", "nan", "table", "identity", "header",
+                         "onerow")}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -312,6 +332,9 @@ def _malformed_files(tmp_path):
     # positive samples expect parity +1
     (["degree", "--weight", "{neg}", "--samples", "6"], 0),
     (["degree", "--weight", "{zero}", "--samples", "6"], 2),
+    # every eigenvalue lies within 1e-290 of zero: the samples start a
+    # thousandth of the reach away from mu = 0, not at 1e-3 beyond it
+    (["degree", "--weight", "{huge}", "--samples", "6"], 0),
     (["spectrum", "--weight", "one", "--kmax", "13"], 2),
     (["spectrum", "--weight", "{nan}"], 2),
     (["solve", "--gamma", "70", "--f-params", "{{bad"], 2),
@@ -352,7 +375,8 @@ def _malformed_files(tmp_path):
     (["solve", "--gamma", "73.05", "--f-table", "{header}"], 2),
     # refused before the sweep would draw 1e11 samples at once
     (["degree", "--samples", "99999999999"], 2),
-    # f overflows at s = 1e6; refused with no numpy warning
+    # f0 reads 0 at s = +-1e-9, f's slope in floats, and f overflows at
+    # s = 1e6; refused with no numpy warning
     (["solve", "--gamma", "70", "--f-params", '{{"gain": 1e308}}'], 2),
     (["branch", "--g", "quartic"], 2),
     (["solve", "--gamma", "70", "--f", "cubic"], 2),
@@ -360,7 +384,8 @@ def _malformed_files(tmp_path):
     # suite would draw up to 50 candidates per pair
     (["spectrum", "--n", "5001"], 2),
     (["sturm", "--pairs", "10001"], 2),
-], ids=["degree-negative-weight", "degree-zero-weight", "spectrum-kmax-13",
+], ids=["degree-negative-weight", "degree-zero-weight", "degree-huge-weight",
+        "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
         "solve-bad-table", "degree-negative-samples", "degree-negative-seed",
         "spectrum-seed", "branch-seed", "solve-seed",

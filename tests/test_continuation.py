@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from beamspec import continuation, grid
-from beamspec.continuation import (GROW_FACTOR, ContinuationConfig,
+from beamspec.continuation import (GROW_FACTOR, BranchPoint, ContinuationConfig,
                                    admissible_interval, bifurcation_start,
                                    cross_hyperplane, solve_nodal, trace_branch)
 from beamspec.errors import (GammaNotAdmissible, NoConvergence, NoCrossing,
@@ -35,7 +35,7 @@ def setup():
 def test_start_linear_problem(setup):
     g, one, res = setup
     spec = PerturbedProblem(m=one, g=zero_perturbation())
-    start = bifurcation_start(1, +1, +1, spec, spectrum_result=res)
+    start = bifurcation_start(1, +1, +1, spec, spectrum_result=res).points[0]
     # the linear branch is vertical: the polished mu equals the pencil value
     assert abs(start.mu - res.positive[0].mu) <= 1e-8
     assert start.profile.count == 0 and start.profile.sigma == +1
@@ -45,7 +45,7 @@ def test_start_linear_problem(setup):
 def test_start_sign_convention(setup):
     g, one, res = setup
     spec = PerturbedProblem(m=one, g=zero_perturbation())
-    start = bifurcation_start(2, +1, -1, spec, spectrum_result=res)
+    start = bifurcation_start(2, +1, -1, spec, spectrum_result=res).points[0]
     assert start.profile.count == 1
     assert start.profile.sigma == -1
     vmax = np.max(np.abs(start.u.values))
@@ -83,7 +83,7 @@ def test_start_cubic_tilt_rayleigh_oracle(setup, monkeypatch):
     ratios = []
     for eps in (0.4, 0.2):
         monkeypatch.setattr(continuation, "EPS_START", eps)
-        start = bifurcation_start(1, +1, +1, spec, res)
+        start = bifurcation_start(1, +1, +1, spec, res).points[0]
         delta = res.positive[0].mu - start.mu
         assert delta > 0  # the cubic term tilts the branch subcritically
         u3 = start.u.values ** 3
@@ -106,7 +106,7 @@ def test_trace_linear_branch_is_vertical(setup):
     branch = trace_branch(start, spec, cfg)
     assert branch.termination == "NormBudget"
     assert len(branch.points) >= 100
-    drift = max(abs(p.mu - start.mu) for p in branch.points)
+    drift = max(abs(p.mu - start.points[0].mu) for p in branch.points)
     assert drift <= 1e-6
     # norm grows monotonically along the vertical branch
     norms = [p.norm for p in branch.points]
@@ -154,7 +154,7 @@ def test_persistent_step_failure_ends_the_branch_at_ds_min(setup, monkeypatch):
     branch = trace_branch(start, spec, cfg)
     assert len(calls) == 1 + math.ceil(math.log2(cfg.ds / continuation.DS_MIN))
     assert branch.termination == continuation.TERM_STEP_FAILURE
-    assert branch.points == (start,)
+    assert branch.points == start.points
     assert branch.flags == ("step failure: forced",)
 
 
@@ -222,7 +222,42 @@ def test_a_collapsed_first_step_keeps_no_point(one300):
     branch = trace_branch(start, spec, stop_at_mu=1.0)
     assert branch.termination == continuation.TERM_STEP_FAILURE
     assert branch.flags[0].startswith("falsification: amplitude collapse at mu=")
-    assert all(p.norm >= 0.1 * start.norm for p in branch.points)
+    assert all(p.norm >= 0.1 * start.points[0].norm for p in branch.points)
+
+
+def test_a_branch_point_carries_no_label_of_its_branch(setup):
+    # (k, nu, sigma, origin_mu) live on the Branch: the start is a one-point
+    # branch, untraced, and the trace extends it
+    assert [f.name for f in dataclasses.fields(BranchPoint)] == [
+        "mu", "u", "norm", "profile", "arclength"]
+    g, one, res = setup
+    spec = PerturbedProblem(m=one, g=cubic_perturbation())
+    start = bifurcation_start(2, +1, -1, spec, res)
+    assert (start.k, start.nu, start.sigma) == (2, +1, -1)
+    assert start.origin_mu == res.pair(2, +1).mu
+    assert len(start.points) == 1 and start.termination is None and start.flags == ()
+    branch = trace_branch(start, spec, ContinuationConfig(max_steps=3))
+    assert branch.termination == continuation.TERM_MAX_STEPS
+    assert (branch.k, branch.nu, branch.sigma, branch.origin_mu) == (
+        start.k, start.nu, start.sigma, start.origin_mu)
+    assert branch.points[0] is start.points[0] and len(branch.points) == 4
+
+
+@pytest.mark.parametrize("sigma", [+1, -1])
+@pytest.mark.parametrize("nu", [+1, -1])
+def test_the_ramp_k1_continuum_returns_at_the_other_signs_eigenvalue(nu, sigma):
+    # on m = 1 - 2t the k = 1 continuum from (mu_1^nu, 0) rises past E-norm
+    # 100, crosses mu = 0 and comes back to the trivial line at
+    # (mu_1^-nu, 0), whose eigenfunction lies in S_1 too.  The tracer ends
+    # there as a step failure; this pins the mathematics, not that label
+    m = sample(WEIGHTS["linear_ramp"], make_grid(300))
+    res = widest_resolvable_window(m)
+    spec = PerturbedProblem(m=m, g=cubic_perturbation())
+    branch = trace_branch(bifurcation_start(1, nu, sigma, spec, res), spec)
+    last = branch.points[-1]
+    assert last.mu == pytest.approx(res.pair(1, -nu).mu, rel=1e-6, abs=0.0)
+    assert last.norm < continuation.EPS_START
+    assert max(p.norm for p in branch.points) > 100.0
 
 
 @pytest.mark.parametrize("ds, ds_max", [(math.inf, math.inf), (math.nan, 1.0)],
@@ -293,7 +328,7 @@ def test_cross_hyperplane_vertical_linear_f(setup):
     cfg = ContinuationConfig(ds=0.01, ds_max=0.01, norm_budget=1.0,
                              max_steps=50)
     start = bifurcation_start(1, +1, +1, spec, res)
-    assert abs(start.mu - 1.0) <= 1e-8
+    assert abs(start.points[0].mu - 1.0) <= 1e-8
     branch = trace_branch(start, spec, cfg)
     assert all(abs(p.mu - 1.0) <= 1e-6 for p in branch.points)
     u = cross_hyperplane(branch, spec)

@@ -84,11 +84,10 @@ def test_strong_vs_fixed_point_zero_set():
 
 
 def test_check_asymptotics_linear():
-    f0, finf, h1 = check_asymptotics(
+    f0, finf = check_asymptotics(
         AsymptoticF(f=lambda s: np.asarray(s, float), f0=1.0, finf=1.0))
     assert f0 == pytest.approx(1.0, rel=1e-9)
     assert finf == pytest.approx(1.0, rel=1e-9)
-    assert h1
 
 
 @pytest.mark.parametrize("fn", [saturating_f().f, saturating_f().derivative,
@@ -120,10 +119,28 @@ def test_linear_f_returns_a_new_array():
 
 
 def test_check_asymptotics_saturating():
-    f0, finf, h1 = check_asymptotics(saturating_f())
+    f0, finf = check_asymptotics(saturating_f())
     assert f0 == pytest.approx(1.0, rel=1e-6)
     assert finf == pytest.approx(2.0, rel=1e-6)
-    assert h1
+
+
+@pytest.mark.parametrize("f, f0", [(saturating_f(gain=1e12), 1.0), (atan_shift_f(), 2.0),
+                                   (linear_f(), 1.0)],
+                         ids=["saturating-gain-1e12", "atan-shift", "linear"])
+def test_check_asymptotics_reads_f0_exactly(f, f0):
+    # at s = +-1e-9, 1 + s^2 rounds to 1: the saturating f's (gain - 1) s^2
+    # term vanishes, so a huge gain is no f0 mismatch
+    assert check_asymptotics(f)[0] == f0
+
+
+def test_check_asymptotics_decides_the_sign_condition():
+    # both slopes are 1, but f(s) s < 0 on 0.2 < s < 0.5
+    def f(s):
+        s = np.asarray(s, dtype=float)
+        return np.where((s > 0.2) & (s < 0.5), -s, s)
+
+    with pytest.raises(AsymptoticMismatch, match=r"^sign condition f\(s\) s > 0 fails"):
+        check_asymptotics(AsymptoticF(f=f, f0=1.0, finf=1.0))
 
 
 def test_check_asymptotics_mismatch():

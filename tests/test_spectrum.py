@@ -9,10 +9,11 @@ import pytest
 from scipy.linalg import eigh
 
 import beamspec
+import beamspec.grid
 from beamspec import shooting, spectrum
 from beamspec.errors import (NoConvergence, NodalMismatch, NoSignChange, NotInWeightClass,
                              ValidationError)
-from beamspec.grid import make_grid, sample
+from beamspec.grid import SampledFn, make_grid, sample
 from beamspec.linops import det_sign_psi
 from beamspec.presets import WEIGHTS, weight
 from beamspec.shooting import boundary_determinant, shoot_eigenvalue
@@ -51,15 +52,70 @@ def test_not_in_weight_class():
         eigen_pencil(m, 1, 0)
 
 
-def test_sign_flip_duality(grid800):
-    m = sample(lambda t: np.sin(3 * np.pi * t), grid800)
-    res = eigen_pencil(m, 3, 3)
-    res_flip = eigen_pencil(-1.0 * m, 3, 3)
-    for p, q in zip(res.positive, res_flip.negative):
-        assert q.mu == pytest.approx(-p.mu, rel=1e-10)
-        assert q.k == p.k
-    for p, q in zip(res.negative, res_flip.positive):
-        assert q.mu == pytest.approx(-p.mu, rel=1e-10)
+def _label_groups(res, seq):
+    """The nodal indices of one side in rank order, each NearDegenerate
+    chain merged into one set: rounding decides the labels inside it."""
+    groups = []
+    for p in seq:
+        if groups and f"NearDegenerate:rank={p.rank - 1},nu={p.nu:+d}" in res.flags:
+            groups[-1].add(p.k)
+        else:
+            groups.append({p.k})
+    return groups
+
+
+def _assert_same_spectrum(seq, other_seq, sign):
+    """Equal ranks and side lengths, and sign * mu within 1e-10."""
+    assert [q.rank for q in other_seq] == [p.rank for p in seq]
+    for p, q in zip(seq, other_seq):
+        assert q.mu == pytest.approx(sign * p.mu, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_sign_flip_duality(name):
+    # m -> -m swaps the two sides and negates every eigenvalue
+    m = sample(WEIGHTS[name], make_grid(300))
+    res, flip = widest_resolvable_window(m), widest_resolvable_window(-1.0 * m)
+    for seq, flip_seq in ((res.positive, flip.negative), (res.negative, flip.positive)):
+        _assert_same_spectrum(seq, flip_seq, -1.0)
+        assert _label_groups(flip, flip_seq) == _label_groups(res, seq)
+
+
+def _reflected_windows(name):
+    m = sample(WEIGHTS[name], make_grid(300))
+    return (widest_resolvable_window(m),
+            widest_resolvable_window(SampledFn(m.grid, m.values[::-1])))
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_reflection_keeps_every_eigenvalue(name):
+    # t -> 1 - t leaves the pencil's spectrum and its ranks unchanged
+    res, ref = _reflected_windows(name)
+    for seq, ref_seq in ((res.positive, ref.positive), (res.negative, ref.negative)):
+        _assert_same_spectrum(seq, ref_seq, 1.0)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("cos2pi", marks=pytest.mark.xfail(strict=True, reason=(
+        "the dense eigenvectors of the rank 11-12 cluster are O(1) mixtures, "
+        "so the reflected samples relabel rank 12 from k = 20 to k = 18"))),
+    "linear_ramp", "one", "sin3pi"])
+def test_reflection_keeps_every_label(name):
+    res, ref = _reflected_windows(name)
+    for seq, ref_seq in ((res.positive, ref.positive), (res.negative, ref.negative)):
+        assert _label_groups(ref, ref_seq) == _label_groups(res, seq)
+
+
+@pytest.mark.parametrize("name, stencils", [
+    ("one", 36), ("sin3pi", 66), ("cos2pi", 72), ("linear_ramp", 54)])
+def test_a_window_derives_each_profiled_pair_once(name, stencils, count_calls):
+    # three stencils per profiled eigenvector: its profile also gives the
+    # E-norm that normalizes phi.  The window profiles its certified pairs
+    # and, on a cut side, the first pair it cannot certify
+    m = sample(WEIGHTS[name], make_grid(300))
+    calls = count_calls(beamspec.grid, "derivative")
+    widest_resolvable_window(m)
+    assert calls.total() == stencils
 
 
 def test_scale_covariance(grid800):
