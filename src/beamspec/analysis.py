@@ -2,8 +2,9 @@
 
 Degree parity: the Leray-Schauder degree surrogate det_sign_psi must equal
 (-1)^c where c counts pencil eigenvalues strictly between 0 and mu.  The
-count is by magnitude (that is what the determinant sees), regardless of
-how nodal indices are ordered.
+count is by magnitude over every eigenvalue the decomposition returned
+(that is what the determinant sees), regardless of how nodal indices are
+ordered and of which eigenfunctions the grid certified.
 
 Sturm comparison: if 0 < b1 < b2 pointwise and u1, u2 solve u'''' = b_i u
 with the simply supported conditions, then u2 has at least one more
@@ -24,14 +25,13 @@ def parity_samples(spectrum_result, rng, n_pos, n_neg):
     """mu samples for degree_parity_sweep, drawn inside the computed spectrum.
 
     Draws n_pos positive samples, then n_neg negative ones, uniformly up to
-    0.97 times the outermost computed eigenvalue of each sign, starting
-    1e-3 from mu = 0, or a thousandth of the reach when it is below 1.  A
-    sign with no computed eigenvalue (the weight has no part of that sign,
-    so every sample there expects parity +1) reaches 1.5 times as far as
-    the other.
+    0.97 times the outermost decomposed eigenvalue of each sign, certified
+    or not, starting 1e-3 from mu = 0, or a thousandth of the reach when it
+    is below 1.  A sign with no decomposed eigenvalue (the weight has no
+    part of that sign, so every sample there expects parity +1) reaches
+    1.5 times as far as the other.
     """
-    pos = [p.mu for p in spectrum_result.positive]
-    neg = [p.mu for p in spectrum_result.negative]
+    pos, neg = spectrum_result.positive_mus, spectrum_result.negative_mus
     if not pos and not neg:
         raise NotInWeightClass("no computed eigenvalue of either sign to sample against")
     hi = 0.97 * max(pos) if pos else -1.5 * min(neg)
@@ -43,13 +43,13 @@ def parity_samples(spectrum_result, rng, n_pos, n_neg):
 def degree_parity_sweep(m, mu_samples, spectrum_result):
     """Compare det_sign_psi with eigenvalue-count parity at each sample.
 
-    Samples within 1e-6 relative distance of an eigenvalue of
-    spectrum_result, or beyond its computed part of the spectrum, are
-    dropped.  Returns a report dict with one row per retained sample and
-    an all-match flag.
+    The count runs over every eigenvalue the decomposition of
+    spectrum_result returned, certified or not: the determinant sees them
+    all.  Samples within 1e-6 relative distance of one of them, or beyond
+    the deepest of them on their side, are dropped.  Returns a report dict
+    with one row per retained sample and an all-match flag.
     """
-    pos = [p.mu for p in spectrum_result.positive]
-    neg = [p.mu for p in spectrum_result.negative]
+    pos, neg = spectrum_result.positive_mus, spectrum_result.negative_mus
     # beyond these the count below mu would miss uncomputed eigenvalues
     pos_limit = 0.98 * max(pos) if pos else np.inf
     neg_limit = 0.98 * min(neg) if neg else -np.inf

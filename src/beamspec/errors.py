@@ -63,7 +63,8 @@ class OnEigenvalue(NumericalError):
 
 
 class NodalMismatch(NumericalError):
-    """Computed eigenfunction has the wrong zero count (grid too coarse)."""
+    """Computed eigenfunction has zeros the grid cannot certify (grid too
+    coarse, or an amplitude below the float floor)."""
 
 
 class NoConvergence(NumericalError):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 
+from ._lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from .errors import OnEigenvalue, ValidationError
 from .grid import Grid, from_interior
 

@@ -47,6 +47,7 @@ LOCAL_VETO = 0.25
 # a touch candidate whose whole neighbourhood sits below this fraction of
 # max|u| is structure the sampling cannot classify at all
 RESOLVED_TOL = 1e-8
+UNRESOLVED = "unresolved near-zero region"
 
 TRIVIAL_TOL = 1e-12
 
@@ -231,7 +232,7 @@ def nodal_profile(u):
     anomalies = []
     for z, touch in _scan(u, fields, norm):
         if touch and np.max(np.abs(v[_local_window(u.grid, z)])) < RESOLVED_TOL * vmax:
-            anomalies.append(f"unresolved near-zero region at t={z:.6g}")
+            anomalies.append(f"{UNRESOLVED} at t={z:.6g}")
             continue
         rec = _classify(u, z, fields, norm)
         if touch and rec.kind == GENERALIZED_SIMPLE:

@@ -45,12 +45,12 @@ import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
+from ._lapack import eigh
 from .errors import NodalMismatch, NotInWeightClass, ValidationError
 from .grid import SampledFn, from_interior, make_grid, sample
 from .linops import SecondDiffOperator
-from .nodal import nodal_profile
+from .nodal import RESOLVED_TOL, UNRESOLVED, nodal_profile
 
 MAX_PAIRS = 12
 
@@ -110,6 +110,10 @@ class SpectrumResult:
     negative: tuple   # EigenPairs, descending mu (ascending |mu|)
     weight: SampledFn
     flags: tuple
+    # every eigenvalue the decomposition returned, certified or not, in
+    # ascending |mu|; each side's pairs hold a prefix of them
+    positive_mus: tuple
+    negative_mus: tuple
 
     @property
     def grid(self):
@@ -117,13 +121,19 @@ class SpectrumResult:
 
     def pair(self, k, nu):
         """Look up the eigenpair of nodal index k in the sign class nu."""
-        seq = self.positive if nu > 0 else self.negative
+        seq, mus = ((self.positive, self.positive_mus) if nu > 0
+                    else (self.negative, self.negative_mus))
         for p in seq:
             if p.k == k:
                 return p
+        name = "positive" if nu > 0 else "negative"
+        if mus and not seq:
+            raise NotInWeightClass(
+                f"no certified eigenfunction in the {name} class: the decomposition "
+                f"found {len(mus)} eigenvalues there, from mu={mus[0]:.6g}, but the "
+                f"window was cut before the first of them")
         raise NotInWeightClass(
-            f"no computed eigenfunction with {k - 1} zeros in the "
-            f"{'positive' if nu > 0 else 'negative'} class "
+            f"no computed eigenfunction with {k - 1} zeros in the {name} class "
             f"(present nodal indices: {[p.k for p in seq]})")
 
     def to_json(self, weight_id, phi_refs):
@@ -200,9 +210,12 @@ def _pencil(m, count_pos, count_neg):
             k = profile.count + 1
             defect = profile.class_defect(k)
             if defect is not None:
+                cause = (f"its amplitude there lies below the float floor, "
+                         f"{RESOLVED_TOL:g} of max|u|, which a finer grid does not lift"
+                         if defect.startswith(f"has {UNRESOLVED}")
+                         else f"grid n={grid.n_interior} too coarse")
                 return tuple(pairs), NodalMismatch(
-                    f"eigenfunction at mu={mu:.6g} {defect}; "
-                    f"grid n={grid.n_interior} too coarse")
+                    f"eigenfunction at mu={mu:.6g} {defect}; {cause}")
             if k in seen:
                 return tuple(pairs), NodalMismatch(
                     f"eigenfunctions at mu={seen[k]:.6g} and mu={mu:.6g} both "
@@ -211,9 +224,9 @@ def _pencil(m, count_pos, count_neg):
             pairs.append(EigenPair(k=k, nu=sign, mu=mu, phi=phi, rank=rank + 1))
         return tuple(pairs), None
 
-    pos, neg = _decompose(m, count_pos, count_neg, vectors=True)
-    positive, pos_error = build(*pos, +1)
-    negative, neg_error = build(*neg, -1)
+    (pos_mus, pos_us), (neg_mus, neg_us) = _decompose(m, count_pos, count_neg, vectors=True)
+    positive, pos_error = build(pos_mus, pos_us, +1)
+    negative, neg_error = build(neg_mus, neg_us, -1)
 
     for side_name, seq in (("positive", positive), ("negative", negative)):
         ks = [p.k for p in seq]
@@ -230,7 +243,9 @@ def _pencil(m, count_pos, count_neg):
     if neg_error is None and len(negative) < count_neg:
         flags.append("NegativeSequenceTruncated")
     return (SpectrumResult(positive=positive, negative=negative, weight=m,
-                           flags=tuple(flags)), pos_error or neg_error)
+                           flags=tuple(flags), positive_mus=tuple(pos_mus.tolist()),
+                           negative_mus=tuple(neg_mus.tolist())),
+            pos_error or neg_error)
 
 
 def eigen_pencil(m, count_pos, count_neg):

@@ -257,6 +257,59 @@ def test_k_outside_the_window_is_refused(tmp_path, capsys, weight, k):
     assert f"(present nodal indices: {certified})" in err
 
 
+def _edge_lobe_weight_csv(path, n=300):
+    """A weight positive on about 14 % of [0, 1], next to t = 1.  Its
+    positive eigenfunctions are localized there: their tails on t < 1/2
+    fall below the float floor, so the pencil certifies no positive pair
+    at n = 300 to 4000, while the decomposition returns the positive eigenvalues."""
+    from beamspec.grid import make_grid, sample, to_csv
+    a = (-0.85795648, 0.97206671, 0.19274591, 0.08930649)
+    b = (-0.59102835, -0.11860982, -1.99774629, -1.13140747)
+
+    def fn(t):
+        return -0.30147885 + sum((aj * np.sin(j * np.pi * t) + bj * np.cos(j * np.pi * t)) / j
+                                 for j, (aj, bj) in enumerate(zip(a, b), start=1))
+
+    to_csv(sample(fn, make_grid(n)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 13])
+def test_degree_parity_counts_uncertified_eigenvalues(tmp_path, seed):
+    # every positive sample above mu_1^+ sees one eigenvalue below it,
+    # though the window certifies no positive pair; counting the certified
+    # pairs alone read 0 there and mismatched 19 to 21 of 50 samples
+    weight = _edge_lobe_weight_csv(tmp_path / "w.csv")
+    out = tmp_path / "deg"
+    assert run(["degree", "--n", "300", "--weight", weight, "--seed", str(seed),
+                "--out", str(out)]) == 0
+    with open(out / "degree_parity.json") as fh:
+        rows = json.load(fh)["rows"]
+    assert len(rows) == 50 and all(row["match"] for row in rows)
+    assert any(row["mu"] > 0 and row["count"] > 0 for row in rows)
+
+
+def test_cuts_name_their_cause(tmp_path, capsys):
+    weight = _edge_lobe_weight_csv(tmp_path / "w.csv")
+    # the first positive eigenfunction's tail lies below the float floor:
+    # a finer grid would not resolve it, so the message does not ask for one
+    assert run(["spectrum", "--n", "300", "--weight", weight, "--kmax", "1",
+                "--kneg", "0", "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NodalMismatch: eigenfunction at mu=1.17328e+06 has "
+                          "unresolved near-zero region at t=")
+    assert err.rstrip().endswith("its amplitude there lies below the float floor, "
+                                 "1e-08 of max|u|, which a finer grid does not lift")
+    assert "too coarse" not in err
+    # the positive side holds eigenvalues but no certified pair
+    assert run(["branch", "--n", "300", "--weight", weight, "--k", "1", "--nu", "+",
+                "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == (
+        "error: NotInWeightClass: no certified eigenfunction in the positive class: "
+        "the decomposition found 12 eigenvalues there, from mu=1.17328e+06, but the "
+        "window was cut before the first of them\n")
+
+
 def test_usage_and_validation_exit_codes(tmp_path):
     assert run(["no-such-command"]) == 1
     assert run(["spectrum", "--weight", "up", "--n", "300",

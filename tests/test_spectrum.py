@@ -197,7 +197,8 @@ def _window_by_retry(m, cap=MAX_PAIRS):
     pos = shrink(cap if want_pos else 0, 0)
     neg = shrink(0, cap if want_neg else 0)
     return SpectrumResult(positive=pos.positive, negative=neg.negative,
-                          weight=m, flags=tuple(set(pos.flags + neg.flags)))
+                          weight=m, flags=tuple(set(pos.flags + neg.flags)),
+                          positive_mus=pos.positive_mus, negative_mus=neg.negative_mus)
 
 
 def _rows(pairs):
@@ -503,11 +504,13 @@ def test_block_product_roots_match_the_per_step_roots(monkeypatch, name, bracket
     assert root == pytest.approx(shoot_eigenvalue(WEIGHTS[name], bracket), rel=1e-12)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize takes about 0.15 s, which every command and
-    # every benchmark set-up would pay
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
+def test_import_leaves_scipy_unloaded(module):
+    # importing scipy.optimize takes about 0.15 s and scipy.linalg about
+    # 0.3 s and 22 MB, which every command and every benchmark set-up would
+    # pay; a silent fall back to scipy.linalg's package init fails here
     src = os.path.dirname(os.path.dirname(os.path.abspath(beamspec.__file__)))
-    code = "import sys, beamspec; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, beamspec; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"

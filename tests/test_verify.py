@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from beamspec import verify
-from beamspec.spectrum import SpectrumResult
 
 
 def test_verify_all_runs_each_check_once_and_prints_in_criterion_order(monkeypatch,
@@ -72,7 +71,7 @@ def test_an_oracle_bracket_without_a_sign_change_is_a_failed_row():
 def _relabelled(window, rank, k):
     """A window holding only its positive pair of that rank, labelled k."""
     pair = dataclasses.replace(window.positive[rank - 1], k=k)
-    return SpectrumResult(positive=(pair,), negative=(), weight=window.weight, flags=())
+    return dataclasses.replace(window, positive=(pair,), negative=(), flags=())
 
 
 def test_nodal_counts_accept_a_complete_window(spectrum_one800):
