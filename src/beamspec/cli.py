@@ -293,7 +293,44 @@ def build_parser():
     return p
 
 
+class _Stdout:
+    """Standard output for one run.  A reader that has gone ends the output,
+    not the run: the run still writes its files and manifest and returns
+    its own exit code."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text):
+        self._guard(self.stream.write, text)
+        return len(text)
+
+    def flush(self):
+        self._guard(self.stream.flush)
+
+    def _guard(self, call, *args):
+        try:
+            call(*args)
+        except BrokenPipeError:
+            # later output, and the interpreter's last flush, go to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, self.stream.fileno())
+            os.close(null)
+
+
 def run(argv=None):
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
+    try:
+        return _run(argv)
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
+
+
+def _run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

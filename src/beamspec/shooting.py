@@ -22,8 +22,7 @@ end of the step.  Two factors E in one product are separated by at most
 two factors S, and E S^k E = 0 for k <= 2, so every product is affine in
 mu.  The step matrix is therefore exactly T0 + mu W_j, where
 T0 = sum_(k<=3) (hS)^k / k! and W_j has ten entries, linear in the weight
-at the three nodes of step j.  W is built once per shoot, and each
-determinant forms all its steps from it in two array operations.
+at the three nodes of step j.
 
 d is a 2x2 minor of the product of all steps; taken from that 4x4 product
 it would cancel to about exp(-|mu|^1/4) of the terms it is formed from.
@@ -40,6 +39,27 @@ exp(b h |mu m|^1/4) for a block of b steps: 1.3 for b = BLOCK at h = 1e-4
 and |mu| = 5e7.  So the blocks cost no accuracy, and the compound tree is
 BLOCK times shorter.  On coarse steps or at huge |mu| the block is halved,
 down to one step, until that exponent is at most 1.
+
+The first level of every block product is kept folded: steps 2i and 2i+1
+multiply to
+
+    (T0 + mu W_2i+1)(T0 + mu W_2i) = T0^2 + mu Q1_i + mu^2 Q2_i,
+
+with Q1_i = W_2i+1 T0 + T0 W_2i and Q2_i = W_2i+1 W_2i, so a determinant
+forms its n/2 pair products in three array operations instead of forming
+n steps and multiplying them.  Q1_i is linear in the five weight samples
+of its pair and is formed from them as one matrix product with the five
+Q1 of unit samples.  The fold sums the same products of T0 and the W as
+the direct product of the two steps, in another order, so it adds no
+cancellation beyond the block growth above.  Blocks of one step and an
+odd last step are formed as T0 + mu W_j from the samples, as before the
+fold.  The folded data of the last CACHE_SIZE weights are kept between
+shoots, keyed by n_steps and the weight's samples at the RK4 nodes and
+midpoints.  Every call samples the weight afresh, and an entry serves
+only samples equal to its own bit for bit, so a changed weight misses
+and a hit returns exactly what a rebuild would.  An entry holds the
+samples, T0^2, the five unit-sample Q1, Q2 and max |m|: about 0.8 MB at
+the default step.
 
 Roots of d are found by Brent's method (Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4; Dekker 1969) on a sign-changing bracket.
@@ -60,6 +80,7 @@ from .grid import SampledFn
 
 DEFAULT_STEPS = 10000  # step 1e-4 over [0, 1]
 BLOCK = 32             # most RK4 steps per 4x4 block product; a power of two
+CACHE_SIZE = 4         # weights whose folded steps are kept between shoots
 EIGEN_RTOL = 1e-10     # eigenvalue shoot's stopping width, relative to 1 + |mu|
 NODAL_MAX_ITER = 30    # Newton iterations of the nonlinear shoot
 NODAL_TOL = 1e-10      # terminal residual, relative to the initial slopes
@@ -106,17 +127,17 @@ _I, _J = _PAIRS[:, :1], _PAIRS[:, 1:]
 _K, _L = _PAIRS[:, 0], _PAIRS[:, 1]
 
 
-def _linear_steps(m_half):
+def _linear_steps(m_half, n=None):
     """(T0, W, max |m|), where T0 + mu W[j] is RK4 step j of u'''' = mu m u.
 
     Each entry of W collects the products with one factor E in the RK4
     step, named on its right; m0, mh and m1 are the weight at the start,
-    midpoint and end of each step.
+    midpoint and end of each step.  n is the number of steps across
+    [0, 1], by default the number that the samples span.
     """
-    n = (len(m_half) - 1) // 2
-    h = 1.0 / n
+    h = 1.0 / (n or (len(m_half) - 1) // 2)
     m0, mh, m1 = m_half[0:-1:2], m_half[1::2], m_half[2::2]
-    w = np.zeros((n, 4, 4))
+    w = np.zeros((len(m0), 4, 4))
     w[:, 3, 0] = h / 6.0 * (m0 + 4.0 * mh + m1)       # E
     w[:, 3, 1] = h ** 2 / 6.0 * (2.0 * mh + m1)       # E S
     w[:, 2, 0] = h ** 2 / 6.0 * (m0 + 2.0 * mh)       # S E
@@ -131,20 +152,76 @@ def _linear_steps(m_half):
     return t0, w, float(np.max(np.abs(m_half)))
 
 
+def _folded_steps(m_half):
+    """(samples, T0^2, B, Q2, max |m|), where T0^2 + mu Q1[i] + mu^2 Q2[i]
+    is the product of RK4 steps 2i + 1 and 2i.  Q2 is None where a weight
+    near the float limit overflows it.
+
+    Q1[i] = W[2i+1] T0 + T0 W[2i] is linear in the five samples s of the
+    pair, so it is kept as sum_k s[k] B[k]: B[k] is Q1 of unit samples.
+    """
+    n = (len(m_half) - 1) // 2
+    t0, w, m_max = _linear_steps(m_half)
+    b = np.empty((5, 16))
+    for k, unit in enumerate(np.eye(5)):
+        _, (w0, w1), _ = _linear_steps(unit, n)
+        b[k] = (w1 @ t0 + t0 @ w0).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        q2 = w[1::2] @ w[0:len(w) - 1:2]
+    return m_half, t0 @ t0, b, q2 if np.all(np.isfinite(q2)) else None, m_max
+
+
+_cache = {}  # sample bytes -> folded steps, the least recently used first
+
+
+def _steps(m_half):
+    """The folded steps of the sampled weight, built on a miss and kept.
+
+    The key is the samples' bytes: their length fixes n_steps, and a
+    change in any bit misses.  An entry reads its samples from the key, so
+    a hit and a miss compute from the same array.
+    """
+    key = m_half.tobytes()
+    steps = _cache.pop(key, None)
+    if steps is None:
+        steps = _folded_steps(np.frombuffer(key))
+        if len(_cache) >= CACHE_SIZE:
+            del _cache[next(iter(_cache))]
+    _cache[key] = steps
+    return steps
+
+
 def _boundary_determinant(mu, steps):
-    t0, w, m_max = steps
-    n = len(w)
+    m_half, t0_sq, b, q2, m_max = steps
+    n = (len(m_half) - 1) // 2
     # blocks of size steps, halved until one spans at most 1 / |mu m|^1/4
     # of [0, 1]; identities pad the steps to whole blocks
     reach = (abs(mu) * m_max) ** 0.25
     size = BLOCK
     while size > 1 and size * reach > n:
         size //= 2
-    # t[j] maps y(t_j) to y(t_j+1)
-    t = np.empty((n + -n % size, 4, 4))
-    t[n:] = np.eye(4)
-    np.multiply(mu, w, out=t[:n])
-    t[:n] += t0
+    if size == 1 or q2 is None:
+        # t[j] = T0 + mu W[j] maps y(t_j) to y(t_j+1)
+        t0, w, _ = _linear_steps(m_half)
+        t = np.multiply(mu, w)
+        t += t0
+        size = 1
+    else:
+        # t[i] maps y(t_2i) to y(t_2i+2): the folded pairs, then an odd
+        # last step alone, then identities
+        pairs = n // 2
+        # row i: the five samples of steps 2i and 2i + 1
+        s = np.lib.stride_tricks.as_strided(
+            m_half, (pairs, 5), (4 * m_half.strides[0], m_half.strides[0]), writeable=False)
+        t = np.empty(((n + -n % size) // 2, 4, 4))
+        np.multiply(mu * mu, q2, out=t[:pairs])
+        t[:pairs] += (s @ (mu * b)).reshape(pairs, 4, 4)
+        t[:pairs] += t0_sq
+        if n % 2:
+            t0, w, _ = _linear_steps(m_half[-3:], n)
+            t[pairs] = t0 + mu * w[0]
+        t[pairs + n % 2:] = np.eye(4)
+        size //= 2
     for _ in range(size.bit_length() - 1):
         t = t[1::2] @ t[0::2]  # the later step on the left
     # the second compounds of the block products, multiplied the same way
@@ -175,7 +252,7 @@ def boundary_determinant(mu, m, n_steps=DEFAULT_STEPS):
     mu = float(mu)
     if not math.isfinite(mu):
         raise ValidationError(f"mu={mu} is not finite")
-    return _finite_determinant(mu, _linear_steps(_weight_on_half_grid(m, n_steps)))
+    return _finite_determinant(mu, _steps(_weight_on_half_grid(m, n_steps)))
 
 
 def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS):
@@ -196,7 +273,7 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS):
     lo, hi = float(mu_bracket[0]), float(mu_bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError(f"bracket ({lo}, {hi}) is not finite")
-    steps = _linear_steps(_weight_on_half_grid(m, n_steps))
+    steps = _steps(_weight_on_half_grid(m, n_steps))
     dlo = _finite_determinant(lo, steps)
     dhi = _finite_determinant(hi, steps)
     if dlo == 0.0:

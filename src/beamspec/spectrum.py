@@ -39,6 +39,10 @@ Only _decompose sees G.  Per side it hands over at most the requested
 count of eigenvalues mu, in ascending |mu|, and on request their
 eigenvectors u as interior columns; a banded or iterative replacement
 of the dense G need honour only that contract, not find all n pairs.
+Before classification, each group of eigenvalues closer than
+SEPARATION_TOL gets a Rayleigh-Ritz step in the K inner product
+(Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 11), so rounding
+does not pick the vectors, and so the labels, inside the group.
 """
 
 import ctypes
@@ -181,6 +185,32 @@ def _decompose(m, count_pos, count_neg, vectors):
     return side(+1, count_pos), side(-1, count_neg)
 
 
+def _ritz_clusters(m, mus, us):
+    """Rayleigh-Ritz in the K inner product on each near-degenerate group.
+
+    A group is a run of eigenvalues of one side whose adjacent relative
+    gaps are at most SEPARATION_TOL.  The dense eigensolver resolves its
+    vectors only to about eps (mu_j / mu_1) / gap, so within a group they
+    are mixtures that rounding picks.  The group's span V is resolved by
+    the small pencil (AV)^T (AV) c = mu V^T diag(m) V c, through the
+    Cholesky factor of (AV)^T (AV); its vectors V C and Ritz values
+    replace the group's in place, in ascending |mu|.
+    """
+    start = 0
+    for end in range(1, len(mus) + 1):
+        if end < len(mus) and abs(mus[end] - mus[end - 1]) <= SEPARATION_TOL * abs(mus[end - 1]):
+            continue
+        if end - start > 1:
+            v = us[:, start:end]
+            av = SecondDiffOperator(m.grid).apply(v)
+            l_inv = np.linalg.inv(np.linalg.cholesky(av.T @ av))
+            nu, y = np.linalg.eigh(l_inv @ (v.T @ (m.interior[:, None] * v)) @ l_inv.T)
+            order = np.argsort(-np.abs(nu))
+            mus[start:end] = 1.0 / nu[order]
+            us[:, start:end] = v @ (l_inv.T @ y[:, order])
+        start = end
+
+
 def _pencil(m, count_pos, count_neg):
     """One decomposition; each side classified in magnitude order up to its count.
 
@@ -225,6 +255,8 @@ def _pencil(m, count_pos, count_neg):
         return tuple(pairs), None
 
     (pos_mus, pos_us), (neg_mus, neg_us) = _decompose(m, count_pos, count_neg, vectors=True)
+    _ritz_clusters(m, pos_mus, pos_us)
+    _ritz_clusters(m, neg_mus, neg_us)
     positive, pos_error = build(pos_mus, pos_us, +1)
     negative, neg_error = build(neg_mus, neg_us, -1)
 

@@ -54,6 +54,15 @@ def test_criterion_03_takes_137_determinants(spectra, count_calls):
     assert determinants.total() == 137
 
 
+def test_criterion_03_builds_the_steps_once_per_weight(spectra, count_calls, monkeypatch):
+    # the 29 shoots share their weight's folded steps: 4 builds, not 29
+    monkeypatch.setattr(shooting, "_cache", {})
+    builds = count_calls(shooting, "_folded_steps")
+    report = verify.check_oracle_agreement(spectra, tol=1e-6)
+    assert report["n_eigenvalues"] == 29
+    assert builds.total() == len(spectra) == 4
+
+
 def test_criterion_04_degree_parity(spectra):
     report = verify.check_degree_parity(spectra, seed=0)
     assert report["total_samples"] >= 150

@@ -545,3 +545,26 @@ def test_out_under_a_file_is_refused_before_the_pencil(tmp_path, capsys,
             "which exists and is not a directory") in err
     assert "Traceback" not in err
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["degree", "--weight", "sin3pi", "--samples", "200"], ["degree_parity.json"]),
+    (["spectrum", "--kmax", "2"], ["phi_pos_k1.csv", "phi_pos_k2.csv", "spectrum.json"]),
+], ids=["degree", "spectrum"])
+def test_a_reader_that_has_gone_ends_the_output_not_the_run(tmp_path, argv, files):
+    # the read end closes before the run writes a line, so every write to
+    # stdout fails with EPIPE, whenever the buffer happens to be flushed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamspec.__file__)))
+    out = tmp_path / "o"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "beamspec", *argv, "--n", "48",
+                               "--out", str(out)],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(os.listdir(out)) == sorted(["manifest.json", *files])
+    _manifest_checks_out(out)
