@@ -351,13 +351,14 @@ def _run(argv):
             where = "" if anc == out else f" is under '{anc}', which"
             raise ValidationError(f"--out '{args.out}'{where} exists and is not a directory")
         code, paths = args.fn(args)
-    except ValidationError as exc:
+        _write_manifest(args.out, args.command, config, paths)
+    except (ValidationError, OSError) as exc:
+        # an OSError here is an output the system cannot create or write
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(args.out, args.command, config, paths)
     return code
 
 

@@ -35,31 +35,41 @@ consecutive steps, the last block padded with identities; only the block
 products become compounds, which a normalized pairwise tree multiplies.
 By Cauchy-Binet this is exact in exact arithmetic.  In floats, a minor of
 a block product cancels by at most the growth of the block, about
-exp(b h |mu m|^1/4) for a block of b steps: 1.3 for b = BLOCK at h = 1e-4
-and |mu| = 5e7.  So the blocks cost no accuracy, and the compound tree is
-BLOCK times shorter.  On coarse steps or at huge |mu| the block is halved,
-down to one step, until that exponent is at most 1.
+exp(b h |mu m|^1/4) for a block of b steps.  Each block is halved, down
+to one step, until b h |mu m|^1/4 <= 1, so a block's minors cancel by at
+most e.  So the blocks cost no accuracy, and the compound tree is BLOCK
+times shorter: 79 blocks instead of 10 000 steps at the default step and
+|mu m| <= 3.7e7.
 
-The first level of every block product is kept folded: steps 2i and 2i+1
-multiply to
+The first level of every block product is kept folded: steps 4i..4i+3
+multiply to the quartic
+
+    (T0 + mu W_4i+3) ... (T0 + mu W_4i)
+        = T0^4 + mu C1_i + mu^2 C2_i + mu^3 C3_i + mu^4 C4_i,
+
+so a determinant forms its n/4 group products by Horner's rule in four
+multiply-adds over the groups instead of forming n steps and multiplying them.  The
+coefficients are built once per weight from the pairs of steps,
 
     (T0 + mu W_2i+1)(T0 + mu W_2i) = T0^2 + mu Q1_i + mu^2 Q2_i,
 
-with Q1_i = W_2i+1 T0 + T0 W_2i and Q2_i = W_2i+1 W_2i, so a determinant
-forms its n/2 pair products in three array operations instead of forming
-n steps and multiplying them.  Q1_i is linear in the five weight samples
-of its pair and is formed from them as one matrix product with the five
-Q1 of unit samples.  The fold sums the same products of T0 and the W as
-the direct product of the two steps, in another order, so it adds no
-cancellation beyond the block growth above.  Blocks of one step and an
-odd last step are formed as T0 + mu W_j from the samples, as before the
-fold.  The folded data of the last CACHE_SIZE weights are kept between
-shoots, keyed by n_steps and the weight's samples at the RK4 nodes and
-midpoints.  Every call samples the weight afresh, and an entry serves
-only samples equal to its own bit for bit, so a changed weight misses
-and a hit returns exactly what a rebuild would.  An entry holds the
-samples, T0^2, the five unit-sample Q1, Q2 and max |m|: about 0.8 MB at
-the default step.
+with Q1_i = W_2i+1 T0 + T0 W_2i and Q2_i = W_2i+1 W_2i: with a = pair 2i
+and b = pair 2i+1 of a group,
+
+    C1 = Q1b T0^2 + T0^2 Q1a,  C2 = Q2b T0^2 + Q1b Q1a + T0^2 Q2a,
+    C3 = Q2b Q1a + Q1b Q2a,    C4 = Q2b Q2a.
+
+The fold sums the same products of T0 and the W as the direct product of
+the four steps, in another order, so it adds no cancellation beyond the
+block growth above.  The last n mod 4 steps are formed one by one as
+T0 + mu W_j from the samples.  So are all steps where a block holds fewer
+than FOLD steps, and those of a weight near the float limit, whose
+coefficients overflow.  The folded data of the last CACHE_SIZE weights
+are kept between shoots, keyed by n_steps and the weight's samples at the
+RK4 nodes and midpoints.  Every call samples the weight afresh, and an
+entry serves only samples equal to its own bit for bit, so a changed
+weight misses and a hit returns exactly what a rebuild would.  An entry holds the samples, T0^4, C1..C4 and max |m|: about
+1.4 MB at the default step.
 
 Roots of d are found by Brent's method (Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4; Dekker 1969) on a sign-changing bracket.
@@ -79,7 +89,8 @@ from .errors import NoConvergence, NoSignChange, ValidationError
 from .grid import SampledFn
 
 DEFAULT_STEPS = 10000  # step 1e-4 over [0, 1]
-BLOCK = 32             # most RK4 steps per 4x4 block product; a power of two
+BLOCK = 128            # most RK4 steps per 4x4 block product; a power of two
+FOLD = 4               # RK4 steps per folded group, a quartic in mu
 CACHE_SIZE = 4         # weights whose folded steps are kept between shoots
 EIGEN_RTOL = 1e-10     # eigenvalue shoot's stopping width, relative to 1 + |mu|
 NODAL_MAX_ITER = 30    # Newton iterations of the nonlinear shoot
@@ -94,6 +105,10 @@ def _weight_on_half_grid(m, n_steps):
     if n_steps < 1:
         raise ValidationError(f"n_steps must be at least 1, got {n_steps}")
     m_half = np.asarray(m(np.linspace(0.0, 1.0, 2 * n_steps + 1)), dtype=float)
+    if m_half.shape != (2 * n_steps + 1,):
+        raise ValidationError(
+            f"weight returned shape {m_half.shape} on the {2 * n_steps + 1} RK4 "
+            f"nodes and midpoints, not ({2 * n_steps + 1},)")
     if not np.all(np.isfinite(m_half)):
         raise ValidationError("weight is not finite at every RK4 node and midpoint")
     return m_half
@@ -153,22 +168,25 @@ def _linear_steps(m_half, n=None):
 
 
 def _folded_steps(m_half):
-    """(samples, T0^2, B, Q2, max |m|), where T0^2 + mu Q1[i] + mu^2 Q2[i]
-    is the product of RK4 steps 2i + 1 and 2i.  Q2 is None where a weight
-    near the float limit overflows it.
-
-    Q1[i] = W[2i+1] T0 + T0 W[2i] is linear in the five samples s of the
-    pair, so it is kept as sum_k s[k] B[k]: B[k] is Q1 of unit samples.
+    """(samples, T0^4, C, max |m|), where T0^4 + sum_k mu^k C[k-1, i] is the
+    product of RK4 steps 4i + 3, ..., 4i.  C is None where a weight near
+    the float limit overflows it.
     """
     n = (len(m_half) - 1) // 2
     t0, w, m_max = _linear_steps(m_half)
-    b = np.empty((5, 16))
-    for k, unit in enumerate(np.eye(5)):
-        _, (w0, w1), _ = _linear_steps(unit, n)
-        b[k] = (w1 @ t0 + t0 @ w0).ravel()
+    t0_sq = t0 @ t0
+    w = w[:n - n % FOLD]
     with np.errstate(over="ignore", invalid="ignore"):
-        q2 = w[1::2] @ w[0:len(w) - 1:2]
-    return m_half, t0 @ t0, b, q2 if np.all(np.isfinite(q2)) else None, m_max
+        # the pairs of steps 2i + 1 and 2i, then the pairs of pairs
+        q1 = w[1::2] @ t0 + t0 @ w[0::2]
+        q2 = w[1::2] @ w[0::2]
+        q1a, q1b, q2a, q2b = q1[0::2], q1[1::2], q2[0::2], q2[1::2]
+        c = np.empty((4, len(q1a), 4, 4))
+        c[0] = q1b @ t0_sq + t0_sq @ q1a
+        c[1] = q2b @ t0_sq + q1b @ q1a + t0_sq @ q2a
+        c[2] = q2b @ q1a + q1b @ q2a
+        c[3] = q2b @ q2a
+    return m_half, t0_sq @ t0_sq, c if np.all(np.isfinite(c)) else None, m_max
 
 
 _cache = {}  # sample bytes -> folded steps, the least recently used first
@@ -192,7 +210,7 @@ def _steps(m_half):
 
 
 def _boundary_determinant(mu, steps):
-    m_half, t0_sq, b, q2, m_max = steps
+    m_half, t0_4, coeffs, m_max = steps
     n = (len(m_half) - 1) // 2
     # blocks of size steps, halved until one spans at most 1 / |mu m|^1/4
     # of [0, 1]; identities pad the steps to whole blocks
@@ -200,28 +218,29 @@ def _boundary_determinant(mu, steps):
     size = BLOCK
     while size > 1 and size * reach > n:
         size //= 2
-    if size == 1 or q2 is None:
+    if size < FOLD or coeffs is None:
         # t[j] = T0 + mu W[j] maps y(t_j) to y(t_j+1)
         t0, w, _ = _linear_steps(m_half)
         t = np.multiply(mu, w)
         t += t0
         size = 1
     else:
-        # t[i] maps y(t_2i) to y(t_2i+2): the folded pairs, then an odd
-        # last step alone, then identities
-        pairs = n // 2
-        # row i: the five samples of steps 2i and 2i + 1
-        s = np.lib.stride_tricks.as_strided(
-            m_half, (pairs, 5), (4 * m_half.strides[0], m_half.strides[0]), writeable=False)
-        t = np.empty(((n + -n % size) // 2, 4, 4))
-        np.multiply(mu * mu, q2, out=t[:pairs])
-        t[:pairs] += (s @ (mu * b)).reshape(pairs, 4, 4)
-        t[:pairs] += t0_sq
-        if n % 2:
-            t0, w, _ = _linear_steps(m_half[-3:], n)
-            t[pairs] = t0 + mu * w[0]
-        t[pairs + n % 2:] = np.eye(4)
-        size //= 2
+        # the folded groups, then the last n mod 4 steps one by one, then
+        # identities, so that every block spans size // FOLD entries
+        groups, tail = divmod(n, FOLD)
+        used = groups + tail
+        t = np.empty((used + -used % (size // FOLD), 4, 4))
+        head = np.multiply(mu, coeffs[3], out=t[:groups])
+        for coefficient in coeffs[2::-1]:
+            head += coefficient
+            head *= mu
+        head += t0_4
+        if tail:
+            t0, w, _ = _linear_steps(m_half[-2 * tail - 1:], n)
+            np.multiply(mu, w, out=t[groups:used])
+            t[groups:used] += t0
+        t[used:] = np.eye(4)
+        size //= FOLD
     for _ in range(size.bit_length() - 1):
         t = t[1::2] @ t[0::2]  # the later step on the left
     # the second compounds of the block products, multiplied the same way

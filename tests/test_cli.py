@@ -547,6 +547,17 @@ def test_out_under_a_file_is_refused_before_the_pencil(tmp_path, capsys,
     assert calls == []
 
 
+def test_an_out_path_the_system_cannot_create_exits_2(tmp_path, capsys):
+    # each path component may hold at most 255 bytes, so makedirs fails
+    # with ENAMETOOLONG once the spectrum is computed
+    out = tmp_path / ("a" * 300)
+    assert run(["spectrum", "--n", "48", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: OSError: ") and "File name too long" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv, files", [
     (["degree", "--weight", "sin3pi", "--samples", "200"], ["degree_parity.json"]),
     (["spectrum", "--kmax", "2"], ["phi_pos_k1.csv", "phi_pos_k2.csv", "spectrum.json"]),

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from beamspec.errors import (NoConvergence, NodalMismatch, NoSignChange, NotInWe
 from beamspec.grid import SampledFn, make_grid, sample
 from beamspec.linops import det_sign_psi
 from beamspec.presets import WEIGHTS, weight
-from beamspec.shooting import boundary_determinant, shoot_eigenvalue
+from beamspec.shooting import boundary_determinant, shoot_eigenvalue, shoot_nodal_solution
 from beamspec.spectrum import (MAX_PAIRS, SpectrumResult, eigen_pencil,
                                eigen_pencil_extrapolated, widest_resolvable_window)
 
@@ -315,6 +316,23 @@ def test_shooting_weight_must_be_callable():
         boundary_determinant(100.0, sampled)
 
 
+def test_the_oracle_imports_nothing_of_the_finite_difference_side():
+    # criterion 3 cross-checks the pencil only while the oracle shares no
+    # code with linops, spectrum, nonlinear or _lapack
+    with open(shooting.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {(module, None if module == ".errors" else alias.name)
+                         for alias in node.names}
+    assert imported <= {("math", None), ("numpy", None), (".errors", None),
+                        (".grid", "SampledFn")}
+
+
 def _count_determinants(monkeypatch):
     """Record every (mu, d(mu)) the shooting oracle evaluates."""
     evaluated = []
@@ -377,6 +395,25 @@ def test_shooting_rejects_bad_input_before_any_determinant(monkeypatch, call):
     evaluated = _count_determinants(monkeypatch)
     with pytest.raises(ValidationError):
         call(WEIGHTS["one"])
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("weight", [
+    lambda t: 1.0,
+    lambda t: np.ones((len(t), 2)),
+    lambda t: np.ones(len(t) + 2),
+], ids=["scalar", "two-columns", "two-samples-more"])
+@pytest.mark.parametrize("call", [
+    lambda m: boundary_determinant(97.0, m, n_steps=10),
+    lambda m: shoot_eigenvalue(m, (90.0, 110.0), n_steps=100),
+    lambda m: shoot_nodal_solution(70.0, m, np.tanh, 1.0, 1.0, make_grid(48)),
+], ids=["determinant", "eigen-shoot", "nodal-shoot"])
+def test_the_oracle_refuses_a_weight_of_the_wrong_shape(monkeypatch, call, weight):
+    # a scalar once divided by zero, two columns failed to broadcast, and
+    # two samples more answered for one step more than asked
+    evaluated = _count_determinants(monkeypatch)
+    with pytest.raises(ValidationError, match=r"weight returned shape \("):
+        call(weight)
     assert evaluated == []
 
 
@@ -493,12 +530,12 @@ def _determinant_per_step(mu, m_half):
     return c[0, 1, 4]
 
 
-@pytest.mark.parametrize("n_steps", [1, 3, 31, 33, 10000])
+@pytest.mark.parametrize("n_steps", [1, 3, 127, 129, 10000])
 def test_block_product_keeps_the_per_step_sign(n_steps):
-    # 1 and 3 steps fit in one padded block, 31 and 33 sit on either side of
-    # its edge; on so few steps the blocks shrink as |mu| grows, down to
+    # 1 and 3 steps fit in one padded block, 127 and 129 sit on either side
+    # of its edge; on so few steps the blocks shrink as |mu| grows, down to
     # single steps, where a whole block product would cancel past float
-    # precision (d(4.6e7) = 0.0 at 31 steps)
+    # precision (for m = 1 at 129 steps, d(4.6e7) = -2.7e-13 against 4.2e-12)
     mus = [-4.6e7, -1e6, -6.8e4, -500.0, 97.0, 500.0, 1e4, 1.15e5, 1e6, 4.6e7]
     for name in ("one", "sin3pi"):
         m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
@@ -551,16 +588,21 @@ def _determinant_unfolded(mu, steps):
     return c[0, 1, 4]
 
 
-@pytest.mark.parametrize("n_steps", [10000, 625, 16])
+@pytest.mark.parametrize("n_steps", [10000, 625, 16, 17, 18, 19])
 def test_folded_pairs_match_the_unfolded_block_product(n_steps):
-    # 625 steps leave an odd last step and pad the pairs with identities;
-    # on 16 steps blocks fall below two steps from |mu m| = 4096 on
-    mus = np.geomspace(10.0, 5e7, 13)
-    mus = np.concatenate([mus, -mus])
-    for name in sorted(WEIGHTS):
-        m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
+    # 625 (like 17), 18 and 19 steps leave 1, 2 and 3 steps after the last
+    # group of four, and pad the groups with identities; on 16 steps blocks
+    # fall below four steps from |mu m| = 256 on.  The last two shifts put
+    # blocks of two steps, then of one, under every step count
+    for name in sorted(WEIGHTS) + ["random"]:
+        if name == "random":  # a rough weight, drawn as in the per-step test
+            m_half = np.random.default_rng(n_steps).uniform(-1.0, 1.0, 2 * n_steps + 1)
+        else:
+            m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
         folded, unfolded = shooting._folded_steps(m_half), shooting._linear_steps(m_half)
-        for mu in mus:
+        mus = np.concatenate([np.geomspace(10.0, 5e7, 13),
+                              (n_steps / np.array([3.0, 1.5])) ** 4 / unfolded[2]])
+        for mu in np.concatenate([mus, -mus]):
             d = shooting._boundary_determinant(mu, folded)
             reference = _determinant_unfolded(mu, unfolded)
             assert np.sign(d) == np.sign(reference) != 0.0
