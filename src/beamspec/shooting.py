@@ -41,34 +41,29 @@ most e.  So the blocks cost no accuracy, and the compound tree is BLOCK
 times shorter: 79 blocks instead of 10 000 steps at the default step and
 |mu m| <= 3.7e7.
 
-The first level of every block product is kept folded: steps 4i..4i+3
-multiply to the quartic
+The first levels of every block product are kept folded.  A product of
+steps is a polynomial in mu with 4x4 coefficients, and one fold
+multiplies consecutive pairs of them by convolving the coefficients, the
+later factor on the left:
 
-    (T0 + mu W_4i+3) ... (T0 + mu W_4i)
-        = T0^4 + mu C1_i + mu^2 C2_i + mu^3 C3_i + mu^4 C4_i,
+    (B0 + mu B1 + ...)(A0 + mu A1 + ...) = sum_k mu^k sum_(i+j=k) Bi Aj.
 
-so a determinant forms its n/4 group products by Horner's rule in four
-multiply-adds over the groups instead of forming n steps and multiplying them.  The
-coefficients are built once per weight from the pairs of steps,
-
-    (T0 + mu W_2i+1)(T0 + mu W_2i) = T0^2 + mu Q1_i + mu^2 Q2_i,
-
-with Q1_i = W_2i+1 T0 + T0 W_2i and Q2_i = W_2i+1 W_2i: with a = pair 2i
-and b = pair 2i+1 of a group,
-
-    C1 = Q1b T0^2 + T0^2 Q1a,  C2 = Q2b T0^2 + Q1b Q1a + T0^2 Q2a,
-    C3 = Q2b Q1a + Q1b Q2a,    C4 = Q2b Q2a.
-
-The fold sums the same products of T0 and the W as the direct product of
-the four steps, in another order, so it adds no cancellation beyond the
-block growth above.  The last n mod 4 steps are formed one by one as
-T0 + mu W_j from the samples.  So are all steps where a block holds fewer
-than FOLD steps, and those of a weight near the float limit, whose
-coefficients overflow.  The folded data of the last CACHE_SIZE weights
-are kept between shoots, keyed by n_steps and the weight's samples at the
-RK4 nodes and midpoints.  Every call samples the weight afresh, and an
-entry serves only samples equal to its own bit for bit, so a changed
-weight misses and a hit returns exactly what a rebuild would.  An entry holds the samples, T0^4, C1..C4 and max |m|: about
+An identity step closes an odd count, and a coefficient that every pair
+shares, a power of T0, stays one matrix.  Two folds of the steps
+T0 + mu W_j give, once per weight, the quartic in mu of each group of
+FOLD steps, so a determinant forms its n/4 group products by Horner's
+rule in four multiply-adds over the groups instead of forming n steps and
+multiplying them.  A fold sums the same products of T0 and the W as the
+direct product of the steps, in another order, so it adds no
+cancellation beyond the block growth above.  Where blocks hold 2 or 1
+steps, a determinant folds the steps once or not at all; a weight near
+the float limit, whose quartic overflows, takes its steps unfolded.
+The folded data of the last CACHE_SIZE weights are kept between shoots,
+keyed by n_steps and the weight's samples at the RK4 nodes and
+midpoints.  Every call samples the weight afresh, and an entry serves
+only samples equal to its own bit for bit, so a changed weight misses and
+a hit returns exactly what a rebuild would.  An entry holds the samples,
+the quartic's coefficients (T0^4 as one matrix) and max |m|: about
 1.4 MB at the default step.
 
 Roots of d are found by Brent's method (Brent, Algorithms for Minimization
@@ -92,7 +87,7 @@ DEFAULT_STEPS = 10000  # step 1e-4 over [0, 1]
 BLOCK = 128            # most RK4 steps per 4x4 block product; a power of two
 FOLD = 4               # RK4 steps per folded group, a quartic in mu
 CACHE_SIZE = 4         # weights whose folded steps are kept between shoots
-EIGEN_RTOL = 1e-10     # eigenvalue shoot's stopping width, relative to 1 + |mu|
+EIGEN_RTOL = 1e-10     # eigenvalue shoot's stopping width, relative to |mu|
 NODAL_MAX_ITER = 30    # Newton iterations of the nonlinear shoot
 NODAL_TOL = 1e-10      # terminal residual, relative to the initial slopes
 _EPS = np.finfo(float).eps
@@ -142,15 +137,14 @@ _I, _J = _PAIRS[:, :1], _PAIRS[:, 1:]
 _K, _L = _PAIRS[:, 0], _PAIRS[:, 1]
 
 
-def _linear_steps(m_half, n=None):
+def _linear_steps(m_half):
     """(T0, W, max |m|), where T0 + mu W[j] is RK4 step j of u'''' = mu m u.
 
     Each entry of W collects the products with one factor E in the RK4
     step, named on its right; m0, mh and m1 are the weight at the start,
-    midpoint and end of each step.  n is the number of steps across
-    [0, 1], by default the number that the samples span.
+    midpoint and end of each step.
     """
-    h = 1.0 / (n or (len(m_half) - 1) // 2)
+    h = 1.0 / ((len(m_half) - 1) // 2)
     m0, mh, m1 = m_half[0:-1:2], m_half[1::2], m_half[2::2]
     w = np.zeros((len(m0), 4, 4))
     w[:, 3, 0] = h / 6.0 * (m0 + 4.0 * mh + m1)       # E
@@ -167,26 +161,41 @@ def _linear_steps(m_half, n=None):
     return t0, w, float(np.max(np.abs(m_half)))
 
 
+def _fold(poly):
+    """The products of consecutive pairs of steps, the later one on the left.
+
+    poly lists the coefficients of mu^0, mu^1, ... of the steps: each an
+    array of shape (n, 4, 4) over the n steps, or one 4x4 matrix that
+    every step shares.  An identity step closes an odd count.
+    """
+    n, deg = len(poly[-1]), len(poly) - 1
+    if n % 2:
+        poly = [np.concatenate([np.broadcast_to(c, (n, 4, 4)), [np.eye(4) * (k == 0)]])
+                for k, c in enumerate(poly)]
+    a = [c if c.ndim == 2 else c[0::2] for c in poly]
+    b = [c if c.ndim == 2 else c[1::2] for c in poly]
+    folded = []
+    for k in range(2 * deg + 1):
+        # the coefficient of mu^k: sum over i of b[i] a[k - i]
+        i = range(min(k, deg), max(0, k - deg) - 1, -1)
+        total = b[i[0]] @ a[k - i[0]]
+        for j in i[1:]:
+            total += b[j] @ a[k - j]
+        folded.append(total)
+    return folded
+
+
 def _folded_steps(m_half):
-    """(samples, T0^4, C, max |m|), where T0^4 + sum_k mu^k C[k-1, i] is the
-    product of RK4 steps 4i + 3, ..., 4i.  C is None where a weight near
+    """(samples, C, max |m|), where sum_k mu^k C[k][i] is the product of RK4
+    steps FOLD i + FOLD - 1, ..., FOLD i.  C is None where a weight near
     the float limit overflows it.
     """
-    n = (len(m_half) - 1) // 2
     t0, w, m_max = _linear_steps(m_half)
-    t0_sq = t0 @ t0
-    w = w[:n - n % FOLD]
+    poly = [t0, w]
     with np.errstate(over="ignore", invalid="ignore"):
-        # the pairs of steps 2i + 1 and 2i, then the pairs of pairs
-        q1 = w[1::2] @ t0 + t0 @ w[0::2]
-        q2 = w[1::2] @ w[0::2]
-        q1a, q1b, q2a, q2b = q1[0::2], q1[1::2], q2[0::2], q2[1::2]
-        c = np.empty((4, len(q1a), 4, 4))
-        c[0] = q1b @ t0_sq + t0_sq @ q1a
-        c[1] = q2b @ t0_sq + q1b @ q1a + t0_sq @ q2a
-        c[2] = q2b @ q1a + q1b @ q2a
-        c[3] = q2b @ q2a
-    return m_half, t0_sq @ t0_sq, c if np.all(np.isfinite(c)) else None, m_max
+        for _ in range(FOLD.bit_length() - 1):
+            poly = _fold(poly)
+    return m_half, poly if all(np.all(np.isfinite(c)) for c in poly) else None, m_max
 
 
 _cache = {}  # sample bytes -> folded steps, the least recently used first
@@ -210,37 +219,34 @@ def _steps(m_half):
 
 
 def _boundary_determinant(mu, steps):
-    m_half, t0_4, coeffs, m_max = steps
+    m_half, quartic, m_max = steps
     n = (len(m_half) - 1) // 2
     # blocks of size steps, halved until one spans at most 1 / |mu m|^1/4
-    # of [0, 1]; identities pad the steps to whole blocks
+    # of [0, 1]
     reach = (abs(mu) * m_max) ** 0.25
     size = BLOCK
     while size > 1 and size * reach > n:
         size //= 2
-    if size < FOLD or coeffs is None:
-        # t[j] = T0 + mu W[j] maps y(t_j) to y(t_j+1)
-        t0, w, _ = _linear_steps(m_half)
-        t = np.multiply(mu, w)
-        t += t0
-        size = 1
+    # the steps folded in groups of FOLD, of a smaller block's size, or of
+    # one where the weight overflows the quartic
+    fold = 1 if quartic is None else min(size, FOLD)
+    if fold == FOLD:
+        poly = quartic
     else:
-        # the folded groups, then the last n mod 4 steps one by one, then
-        # identities, so that every block spans size // FOLD entries
-        groups, tail = divmod(n, FOLD)
-        used = groups + tail
-        t = np.empty((used + -used % (size // FOLD), 4, 4))
-        head = np.multiply(mu, coeffs[3], out=t[:groups])
-        for coefficient in coeffs[2::-1]:
-            head += coefficient
-            head *= mu
-        head += t0_4
-        if tail:
-            t0, w, _ = _linear_steps(m_half[-2 * tail - 1:], n)
-            np.multiply(mu, w, out=t[groups:used])
-            t[groups:used] += t0
-        t[used:] = np.eye(4)
-        size //= FOLD
+        poly = _linear_steps(m_half)[:2]
+        for _ in range(fold.bit_length() - 1):
+            poly = _fold(poly)
+    size //= fold
+    # the group products by Horner's rule, then identities, so that every
+    # block spans size groups
+    groups = len(poly[-1])
+    t = np.empty((groups + -groups % size, 4, 4))
+    head = np.multiply(mu, poly[-1], out=t[:groups])
+    for coefficient in poly[-2:0:-1]:
+        head += coefficient
+        head *= mu
+    head += poly[0]
+    t[groups:] = np.eye(4)
     for _ in range(size.bit_length() - 1):
         t = t[1::2] @ t[0::2]  # the later step on the left
     # the second compounds of the block products, multiplied the same way
@@ -279,9 +285,11 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS):
 
     The bracket endpoints must give opposite signs of the boundary
     determinant.  Brent's method shrinks the sign-change bracket [b, c]
-    until it is no wider than EIGEN_RTOL * (1 + (|b| + |c|) / 2) and
-    returns its secant root b - d(b) (c - b) / (d(c) - d(b)).  The first
-    step after the endpoints is a bisection, so a bracket centred on an
+    until it is no wider than EIGEN_RTOL * (|b| + |c|) / 2, or than
+    4 eps |b| near the float spacing, and returns its secant root
+    b - d(b) (c - b) / (d(c) - d(b)).  The width is relative, so scaling
+    the weight by a constant scales the root and the width alike.  The
+    first step after the endpoints is a bisection, so a bracket centred on an
     estimate of the root evaluates that estimate third.  When the estimate
     lies within half the stopping width of the root, the interpolation
     step from it is normally shorter than that half-width, so the step
@@ -312,7 +320,7 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS):
         if abs(dc) < abs(db):
             a, da, b, db, c, dc = b, db, c, dc, b, db
         # half the stopping width, and never below the spacing of floats at b
-        tol = max(0.25 * EIGEN_RTOL * (2.0 + abs(b) + abs(c)), 2.0 * _EPS * abs(b))
+        tol = max(0.25 * EIGEN_RTOL * (abs(b) + abs(c)), 2.0 * _EPS * abs(b))
         half = 0.5 * (c - b)
         if abs(half) <= tol or db == 0.0:
             return float(b - db * (c - b) / (dc - db))

@@ -366,6 +366,7 @@ def _malformed_files(tmp_path):
     g = make_grid(300)
     to_csv(sample(lambda t: -1.0 - 0.1 * t, g), tmp_path / "neg.csv")
     to_csv(sample(lambda t: 0.0 * t, g), tmp_path / "zero.csv")
+    to_csv(sample(lambda t: 1.0 + 0.0 * t, make_grid(48)), tmp_path / "n48.csv")
     to_csv(sample(lambda t: 1e300 * (1.0 - 2.0 * t), g), tmp_path / "huge.csv")
     to_csv(sample(lambda t: np.sin(3 * np.pi * t), g), tmp_path / "nan.csv")
     rows = (tmp_path / "nan.csv").read_text().splitlines()
@@ -376,7 +377,7 @@ def _malformed_files(tmp_path):
     (tmp_path / "header.csv").write_text("t,value\n")
     (tmp_path / "onerow.csv").write_text("t,value\n0,0\n")
     return {name: str(tmp_path / f"{name}.csv")
-            for name in ("neg", "zero", "huge", "nan", "table", "identity", "header",
+            for name in ("neg", "zero", "n48", "huge", "nan", "table", "identity", "header",
                          "onerow")}
 
 
@@ -437,6 +438,10 @@ def _malformed_files(tmp_path):
     # suite would draw up to 50 candidates per pair
     (["spectrum", "--n", "5001"], 2),
     (["sturm", "--pairs", "10001"], 2),
+    # a weight sampled on another grid than the run's
+    (["spectrum", "--weight", "{n48}"], 2),
+    # a parameter the nonlinearity's factory does not take
+    (["solve", "--gamma", "70", "--f-params", '{{"bogus": 1}}'], 2),
 ], ids=["degree-negative-weight", "degree-zero-weight", "degree-huge-weight",
         "spectrum-kmax-13",
         "spectrum-nan-weight", "solve-bad-json", "solve-json-not-object",
@@ -451,7 +456,8 @@ def _malformed_files(tmp_path):
         "solve-header-only-table", "degree-samples-above-maximum",
         "solve-overflowing-gain", "branch-unknown-perturbation",
         "solve-unknown-nonlinearity", "spectrum-n-above-maximum",
-        "sturm-pairs-above-maximum"])
+        "sturm-pairs-above-maximum", "spectrum-weight-on-another-grid",
+        "solve-unknown-f-param"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, time_limit,
                                                 argv, code):
     # the slowest case takes about 1.5 s; a hang fails its case

@@ -355,7 +355,7 @@ def test_eigen_shoot_root_needs_few_determinants(monkeypatch, bracket):
     # bisection needs 31 midpoints here, plus the two endpoints
     assert len(evaluated) <= 12
     # the root lies within one stopping width of a sign change of d
-    width = 1e-10 * (1.0 + abs(root))
+    width = 1e-10 * abs(root)
     assert boundary_determinant(root - width, one) * boundary_determinant(root + width, one) <= 0.0
 
 
@@ -365,7 +365,7 @@ def test_eigen_shoot_bisects_a_badly_scaled_bracket(monkeypatch):
     evaluated = _count_determinants(monkeypatch)
     root = shoot_eigenvalue(WEIGHTS["one"], (1.0, 1500.0))
     assert root == pytest.approx(np.pi ** 4, rel=1e-6)
-    bisection = 2 + int(np.ceil(np.log2(1499.0 / (1e-10 * (1.0 + np.pi ** 4)))))
+    bisection = 2 + int(np.ceil(np.log2(1499.0 / (1e-10 * np.pi ** 4))))
     assert len(evaluated) <= 2 * bisection
 
     def bisects(i):
@@ -459,6 +459,19 @@ def test_a_centred_bracket_costs_four_determinants(monkeypatch, k):
     assert len(evaluated) == 4
     assert evaluated[2][0] == pytest.approx(root, rel=1e-15)
     assert abs(mu / root - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1.0, 1e8, 1e10, 1e12, 1e60, 1e100])
+def test_the_eigen_shoot_scales_with_the_weight(c):
+    # m = c has mu_1 = pi^4 / c.  A stopping width that is absolute below
+    # |mu| = 1 leaves a relative error of 5.6e-6 at c = 1e10, and from
+    # c = 1e12 on returns the secant of the bracket's ends; at c = 1e100
+    # the quartic overflows and the determinants take the unfolded steps
+    m = lambda t: np.full_like(t, c)
+    root = np.pi ** 4 / c
+    assert abs(shoot_eigenvalue(m, (0.9 * root, 1.3 * root)) / root - 1.0) <= 1e-12
+    m_half = shooting._weight_on_half_grid(m, shooting.DEFAULT_STEPS)
+    assert (shooting._folded_steps(m_half)[1] is None) == (c == 1e100)
 
 
 def test_the_oracle_never_echoes_its_centre():
@@ -591,22 +604,39 @@ def _determinant_unfolded(mu, steps):
 @pytest.mark.parametrize("n_steps", [10000, 625, 16, 17, 18, 19])
 def test_folded_pairs_match_the_unfolded_block_product(n_steps):
     # 625 (like 17), 18 and 19 steps leave 1, 2 and 3 steps after the last
-    # group of four, and pad the groups with identities; on 16 steps blocks
-    # fall below four steps from |mu m| = 256 on.  The last two shifts put
-    # blocks of two steps, then of one, under every step count
-    for name in sorted(WEIGHTS) + ["random"]:
+    # group of four, which identity steps close; on 16 steps blocks fall
+    # below four steps from |mu m| = 256 on.  The last two shifts put
+    # blocks of two steps, then of one, under every step count.  sin3pi
+    # scaled by 1e100 overflows the quartic and takes the unfolded steps
+    for name in sorted(WEIGHTS) + ["random", "scaled"]:
+        scale = 1e100 if name == "scaled" else 1.0
         if name == "random":  # a rough weight, drawn as in the per-step test
             m_half = np.random.default_rng(n_steps).uniform(-1.0, 1.0, 2 * n_steps + 1)
         else:
-            m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
+            fn = WEIGHTS["sin3pi" if name == "scaled" else name]
+            m_half = scale * shooting._weight_on_half_grid(fn, n_steps)
         folded, unfolded = shooting._folded_steps(m_half), shooting._linear_steps(m_half)
-        mus = np.concatenate([np.geomspace(10.0, 5e7, 13),
+        assert (folded[1] is None) == (name == "scaled")
+        mus = np.concatenate([np.geomspace(10.0, 5e7, 13) / scale,
                               (n_steps / np.array([3.0, 1.5])) ** 4 / unfolded[2]])
         for mu in np.concatenate([mus, -mus]):
             d = shooting._boundary_determinant(mu, folded)
             reference = _determinant_unfolded(mu, unfolded)
             assert np.sign(d) == np.sign(reference) != 0.0
             assert abs(d / reference - 1.0) <= 1e-10
+
+
+def _array_bytes(x):
+    if isinstance(x, np.ndarray):
+        return x.nbytes
+    return sum(map(_array_bytes, x)) if isinstance(x, (tuple, list)) else 0
+
+
+def test_a_cache_entry_keeps_one_copy_of_the_shared_coefficient():
+    # the samples, four (2500, 4, 4) coefficients and one T0^4; T0^4
+    # broadcast to every group would add 320 000 bytes and slow the build
+    m_half = shooting._weight_on_half_grid(WEIGHTS["sin3pi"], shooting.DEFAULT_STEPS)
+    assert _array_bytes(shooting._folded_steps(m_half)) <= 1_440_136
 
 
 def test_a_warm_cache_gives_the_bits_of_a_cold_one(monkeypatch):
