@@ -18,7 +18,7 @@ import numpy as np
 from .errors import HypothesisViolated, NotInWeightClass
 from .grid import SampledFn, e_norm
 from .linops import det_sign_psi, lambda2
-from .nodal import find_zeros
+from .nodal import TRIVIAL_TOL, find_zeros
 
 
 def parity_samples(spectrum_result, rng, n_pos, n_neg):
@@ -85,7 +85,7 @@ def sturm_check(b1, b2, u1, u2, residual_tol=1e-6):
         raise HypothesisViolated("b2 must exceed b1 at every interior node")
     for label, b, u in (("u1", b1, u1), ("u2", b2, u2)):
         norm = e_norm(u)
-        if norm <= 1e-12:
+        if norm <= TRIVIAL_TOL:
             raise HypothesisViolated(f"{label} is numerically trivial")
         r = u - lambda2(SampledFn(u.grid, b.values * u.values))
         if np.max(np.abs(r.values)) > residual_tol * norm:

@@ -40,10 +40,8 @@ def make_grid(n_interior):
     if n_interior < MIN_INTERIOR:
         raise TooCoarse(f"need at least {MIN_INTERIOR} interior nodes, got {n_interior}")
     n_interior = int(n_interior)
-    nodes = np.linspace(0.0, 1.0, n_interior + 2)
-    nodes[0] = 0.0
-    nodes[-1] = 1.0
-    return Grid(n_interior=n_interior, h=1.0 / (n_interior + 1), nodes=nodes)
+    return Grid(n_interior=n_interior, h=1.0 / (n_interior + 1),
+                nodes=np.linspace(0.0, 1.0, n_interior + 2))
 
 
 def same_grid(a, b):

@@ -210,8 +210,8 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
         return merit, rc
 
     history = []
+    merit_eq, rc = residuals(u, mu)
     for iteration in range(max_iter + 1):
-        merit_eq, rc = residuals(u, mu)
         history.append(merit_eq + abs(rc))
         if merit_eq <= tol and abs(rc) <= tol:
             result = from_interior(spec.grid, u)
@@ -238,15 +238,18 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
                 raise SingularJacobian("zero pivot in the mixed Jacobian")
             du, dw, dmu = _bordered_solve(lu, a, fu, spec.source_mu_slope(u, mu),
                                           r1, r2, border[0], border[1], rc)
+        # the accepted trial's residuals are those of the next iterate
         step = 1.0
         while step >= 2.0**-16:
-            trial_eq, trial_c = residuals(u + step * du, mu + step * dmu)
-            if trial_eq + abs(trial_c) <= (1.0 - 1e-4 * step) * history[-1]:
+            merit_eq, rc = residuals(u + step * du, mu + step * dmu)
+            if merit_eq + abs(rc) <= (1.0 - 1e-4 * step) * history[-1]:
                 break
             step *= 0.5
         u = u + step * du
         w = w + step * dw
         mu = mu + step * dmu
+        if step < 2.0**-16:  # the search fell through to a step it never tried
+            merit_eq, rc = residuals(u, mu)
     raise NoConvergence(
         f"newton stalled at residual {history[-1]:.3e} "
         f"(tol {tol:.3e}) after {max_iter} iterations")

@@ -56,15 +56,21 @@ rule in four multiply-adds over the groups instead of forming n steps and
 multiplying them.  A fold sums the same products of T0 and the W as the
 direct product of the steps, in another order, so it adds no
 cancellation beyond the block growth above.  Where blocks hold 2 or 1
-steps, a determinant folds the steps once or not at all; a weight near
-the float limit, whose quartic overflows, takes its steps unfolded.
-The folded data of the last CACHE_SIZE weights are kept between shoots,
-keyed by n_steps and the weight's samples at the RK4 nodes and
-midpoints.  Every call samples the weight afresh, and an entry serves
-only samples equal to its own bit for bit, so a changed weight misses and
-a hit returns exactly what a rebuild would.  An entry holds the samples,
-the quartic's coefficients (T0^4 as one matrix) and max |m|: about
-1.4 MB at the default step.
+steps, the groups hold as many: one fold or none.
+
+The steps are built from the weight scaled by 2^-e, with e the binary
+exponent of max |m|, and mu is scaled by 2^e.  Rounding commutes with a
+power of two, so no coefficient can overflow or underflow, the bits are
+those of the unscaled steps wherever these are finite and normal, and
+d(2^-k mu; 2^k m) = d(mu; m) exactly.  functools.lru_cache keeps the
+folded steps of the last CACHE_SIZE (samples, fold) pairs between shoots,
+the samples being the weight's at the RK4 nodes and midpoints.  Every
+call samples the weight afresh, and an entry serves only samples equal
+to its own bit for bit, so a changed weight misses and a hit returns
+exactly what a rebuild would.  An entry holds the key's samples and the
+polynomial's coefficients (T0^4 as one matrix): about 1.4 MB at the
+default step.  Groups of fewer than FOLD steps take |mu| max |m| >
+(n/4)^4, 3.9e13 at the default step; below that a weight keeps one entry.
 
 Roots of d are found by Brent's method (Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4; Dekker 1969) on a sign-changing bracket.
@@ -76,6 +82,7 @@ is its own and never the bracket's centre handed back.  A determinant that
 overflows to a non-finite value stops the search.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -86,7 +93,7 @@ from .grid import SampledFn
 DEFAULT_STEPS = 10000  # step 1e-4 over [0, 1]
 BLOCK = 128            # most RK4 steps per 4x4 block product; a power of two
 FOLD = 4               # RK4 steps per folded group, a quartic in mu
-CACHE_SIZE = 4         # weights whose folded steps are kept between shoots
+CACHE_SIZE = 4         # (weight, fold) pairs whose folded steps are kept
 EIGEN_RTOL = 1e-10     # eigenvalue shoot's stopping width, relative to |mu|
 NODAL_MAX_ITER = 30    # Newton iterations of the nonlinear shoot
 NODAL_TOL = 1e-10      # terminal residual, relative to the initial slopes
@@ -138,7 +145,7 @@ _K, _L = _PAIRS[:, 0], _PAIRS[:, 1]
 
 
 def _linear_steps(m_half):
-    """(T0, W, max |m|), where T0 + mu W[j] is RK4 step j of u'''' = mu m u.
+    """(T0, W), where T0 + mu W[j] is RK4 step j of u'''' = mu m u.
 
     Each entry of W collects the products with one factor E in the RK4
     step, named on its right; m0, mh and m1 are the weight at the start,
@@ -158,7 +165,7 @@ def _linear_steps(m_half):
     w[:, 0, 0] = h ** 4 / 24.0 * m0                   # S^3 E
     hs = np.eye(4, k=1) * h
     t0 = np.eye(4) + hs + hs @ hs / 2.0 + hs @ hs @ hs / 6.0
-    return t0, w, float(np.max(np.abs(m_half)))
+    return t0, w
 
 
 def _fold(poly):
@@ -185,57 +192,41 @@ def _fold(poly):
     return folded
 
 
-def _folded_steps(m_half):
-    """(samples, C, max |m|), where sum_k mu^k C[k][i] is the product of RK4
-    steps FOLD i + FOLD - 1, ..., FOLD i.  C is None where a weight near
-    the float limit overflows it.
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _folded_steps(samples, fold):
+    """C, where sum_k (2^e mu)^k C[k][i] is the product of RK4 steps
+    fold i + fold - 1, ..., fold i of the weight sampled in samples, and
+    e is the binary exponent of its max |m|.
+
+    samples are the bytes of the weight at the RK4 nodes and midpoints:
+    their length fixes n_steps, and a change in any bit misses the cache.
     """
-    t0, w, m_max = _linear_steps(m_half)
-    poly = [t0, w]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(FOLD.bit_length() - 1):
-            poly = _fold(poly)
-    return m_half, poly if all(np.all(np.isfinite(c)) for c in poly) else None, m_max
+    m_half = np.frombuffer(samples)
+    poly = _linear_steps(np.ldexp(m_half, -math.frexp(np.max(np.abs(m_half)))[1]))
+    for _ in range(fold.bit_length() - 1):
+        poly = _fold(poly)
+    return poly
 
 
-_cache = {}  # sample bytes -> folded steps, the least recently used first
+def _weight(m, n_steps):
+    """(sample bytes, max |m|) of the callable weight; see _folded_steps."""
+    m_half = _weight_on_half_grid(m, n_steps)
+    return m_half.tobytes(), float(np.max(np.abs(m_half)))
 
 
-def _steps(m_half):
-    """The folded steps of the sampled weight, built on a miss and kept.
-
-    The key is the samples' bytes: their length fixes n_steps, and a
-    change in any bit misses.  An entry reads its samples from the key, so
-    a hit and a miss compute from the same array.
-    """
-    key = m_half.tobytes()
-    steps = _cache.pop(key, None)
-    if steps is None:
-        steps = _folded_steps(np.frombuffer(key))
-        if len(_cache) >= CACHE_SIZE:
-            del _cache[next(iter(_cache))]
-    _cache[key] = steps
-    return steps
-
-
-def _boundary_determinant(mu, steps):
-    m_half, quartic, m_max = steps
-    n = (len(m_half) - 1) // 2
+def _boundary_determinant(mu, weight):
+    samples, m_max = weight
+    n = len(samples) // 16  # 2 n + 1 samples of 8 bytes
     # blocks of size steps, halved until one spans at most 1 / |mu m|^1/4
     # of [0, 1]
     reach = (abs(mu) * m_max) ** 0.25
     size = BLOCK
     while size > 1 and size * reach > n:
         size //= 2
-    # the steps folded in groups of FOLD, of a smaller block's size, or of
-    # one where the weight overflows the quartic
-    fold = 1 if quartic is None else min(size, FOLD)
-    if fold == FOLD:
-        poly = quartic
-    else:
-        poly = _linear_steps(m_half)[:2]
-        for _ in range(fold.bit_length() - 1):
-            poly = _fold(poly)
+    # the steps folded in groups of FOLD, or of a smaller block's size
+    fold = min(size, FOLD)
+    poly = _folded_steps(samples, fold)
+    mu = np.ldexp(mu, math.frexp(m_max)[1])  # the steps' weight is scaled by 2^-e
     size //= fold
     # the group products by Horner's rule, then identities, so that every
     # block spans size groups
@@ -263,10 +254,10 @@ def _boundary_determinant(mu, steps):
     return c[0, 1, 4]
 
 
-def _finite_determinant(mu, steps):
+def _finite_determinant(mu, weight):
     """d(mu); NoConvergence if mu m overflows the RK4 step products."""
     with np.errstate(all="ignore"):
-        d = float(_boundary_determinant(mu, steps))
+        d = float(_boundary_determinant(mu, weight))
     if not math.isfinite(d):
         raise NoConvergence(f"boundary determinant at mu = {mu!r} is {d}, not finite")
     return d
@@ -277,7 +268,7 @@ def boundary_determinant(mu, m, n_steps=DEFAULT_STEPS):
     mu = float(mu)
     if not math.isfinite(mu):
         raise ValidationError(f"mu={mu} is not finite")
-    return _finite_determinant(mu, _steps(_weight_on_half_grid(m, n_steps)))
+    return _finite_determinant(mu, _weight(m, n_steps))
 
 
 def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS):
@@ -300,9 +291,9 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS):
     lo, hi = float(mu_bracket[0]), float(mu_bracket[1])
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValidationError(f"bracket ({lo}, {hi}) is not finite")
-    steps = _steps(_weight_on_half_grid(m, n_steps))
-    dlo = _finite_determinant(lo, steps)
-    dhi = _finite_determinant(hi, steps)
+    weight = _weight(m, n_steps)
+    dlo = _finite_determinant(lo, weight)
+    dhi = _finite_determinant(hi, weight)
     if dlo == 0.0:
         return lo
     if dhi == 0.0:
@@ -343,7 +334,7 @@ def shoot_eigenvalue(m, mu_bracket, n_steps=DEFAULT_STEPS):
             e = step = half
         a, da = b, db
         b += step if abs(step) > tol else math.copysign(tol, half)
-        db = _finite_determinant(b, steps)
+        db = _finite_determinant(b, weight)
         if (db > 0.0) == (dc > 0.0):
             c, dc = a, da
             e = step = b - a

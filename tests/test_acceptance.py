@@ -54,13 +54,12 @@ def test_criterion_03_takes_138_determinants(spectra, count_calls):
     assert determinants.total() == 138
 
 
-def test_criterion_03_builds_the_steps_once_per_weight(spectra, count_calls, monkeypatch):
+def test_criterion_03_builds_the_steps_once_per_weight(spectra):
     # the 29 shoots share their weight's folded steps: 4 builds, not 29
-    monkeypatch.setattr(shooting, "_cache", {})
-    builds = count_calls(shooting, "_folded_steps")
+    shooting._folded_steps.cache_clear()
     report = verify.check_oracle_agreement(spectra, tol=1e-6)
     assert report["n_eigenvalues"] == 29
-    assert builds.total() == len(spectra) == 4
+    assert shooting._folded_steps.cache_info().misses == len(spectra) == 4
 
 
 def test_criterion_04_degree_parity(spectra):

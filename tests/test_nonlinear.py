@@ -221,6 +221,18 @@ def test_newton_manufactured_convergence():
         assert r_next <= 1e4 * r_prev**2 + 1e-14
 
 
+def test_newton_evaluates_each_accepted_iterate_once(count_calls):
+    # every full step is accepted here; the accepted trial's residual is
+    # the next iterate's, carried over rather than evaluated again
+    g, one = _one(400)
+    spec = PerturbedProblem(m=one, g=cubic_perturbation())
+    evaluated = count_calls(nonlinear, "_fp")
+    _, info = newton(sample(lambda t: 2.0 * np.sin(np.pi * t), g), 80.0, spec,
+                     return_info=True)
+    assert info["iterations"] >= 3
+    assert evaluated.total() == info["iterations"] + 1
+
+
 def test_newton_builds_no_sampled_fn_per_residual(monkeypatch):
     # the corrector evaluates its residual on interior arrays; SampledFns
     # are built only at the boundary (the start's E-norm and the result)

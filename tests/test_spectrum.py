@@ -329,8 +329,8 @@ def test_the_oracle_imports_nothing_of_the_finite_difference_side():
             module = "." * node.level + (node.module or "")
             imported |= {(module, None if module == ".errors" else alias.name)
                          for alias in node.names}
-    assert imported <= {("math", None), ("numpy", None), (".errors", None),
-                        (".grid", "SampledFn")}
+    assert imported <= {("functools", None), ("math", None), ("numpy", None),
+                        (".errors", None), (".grid", "SampledFn")}
 
 
 def _count_determinants(monkeypatch):
@@ -338,8 +338,8 @@ def _count_determinants(monkeypatch):
     evaluated = []
     inner = shooting._boundary_determinant
 
-    def counting(mu, steps):
-        d = inner(mu, steps)
+    def counting(mu, weight):
+        d = inner(mu, weight)
         evaluated.append((mu, d))
         return d
 
@@ -438,9 +438,9 @@ def test_a_non_finite_determinant_inside_the_bracket_stops_the_shoot(monkeypatch
     inner = shooting._boundary_determinant
     evaluated = []
 
-    def nan_third(mu, steps):
+    def nan_third(mu, weight):
         evaluated.append(mu)
-        return np.nan if len(evaluated) == 3 else inner(mu, steps)
+        return np.nan if len(evaluated) == 3 else inner(mu, weight)
 
     monkeypatch.setattr(shooting, "_boundary_determinant", nan_third)
     # the third determinant is the opening bisection's midpoint
@@ -461,17 +461,40 @@ def test_a_centred_bracket_costs_four_determinants(monkeypatch, k):
     assert abs(mu / root - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("c", [1.0, 1e8, 1e10, 1e12, 1e60, 1e100])
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1.0, 1e8, 1e10, 1e12, 1e60, 1e100, 1e301])
 def test_the_eigen_shoot_scales_with_the_weight(c):
     # m = c has mu_1 = pi^4 / c.  A stopping width that is absolute below
     # |mu| = 1 leaves a relative error of 5.6e-6 at c = 1e10, and from
-    # c = 1e12 on returns the secant of the bracket's ends; at c = 1e100
-    # the quartic overflows and the determinants take the unfolded steps
+    # c = 1e12 on returns the secant of the bracket's ends; unscaled, the
+    # quartic overflows at c = 1e100 and its mu^4 coefficient underflows
+    # from c = 1e-200 on, which costs a relative error of 2e-14
     m = lambda t: np.full_like(t, c)
     root = np.pi ** 4 / c
-    assert abs(shoot_eigenvalue(m, (0.9 * root, 1.3 * root)) / root - 1.0) <= 1e-12
-    m_half = shooting._weight_on_half_grid(m, shooting.DEFAULT_STEPS)
-    assert (shooting._folded_steps(m_half)[1] is None) == (c == 1e100)
+    assert abs(shoot_eigenvalue(m, (0.9 * root, 1.3 * root)) / root - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [-990, -300, 3, 300, 990])
+def test_the_determinant_is_exactly_covariant_under_a_power_of_two(k):
+    # d(2^-k mu; 2^k m) = d(mu; m) bit for bit: the steps are built from
+    # the weight scaled to max |m| in [1/2, 1), so the unscaled quartic
+    # can no longer overflow (k = 990) or underflow (k = -990)
+    mus = np.geomspace(10.0, 5e7, 12)
+    for name, fn in sorted(WEIGHTS.items()):
+        scaled = lambda t: np.ldexp(fn(t), k)
+        for mu in np.concatenate([mus, -mus]):
+            assert boundary_determinant(np.ldexp(mu, -k), scaled) == boundary_determinant(mu, fn)
+
+
+@pytest.mark.parametrize("k", [-990, -300, 3, 300])
+@pytest.mark.parametrize("name, bracket", [("one", (90.0, 110.0)),
+                                           ("sin3pi", (114215.5, 114714.3))])
+def test_the_eigen_shoot_is_exactly_covariant_under_a_power_of_two(name, bracket, k):
+    # Brent's method and its stopping width scale with the bracket, so the
+    # shoot on 2^k m from 2^-k the bracket returns 2^-k the root exactly;
+    # at k = 990 its iterates near 1e-296 go subnormal, so that is left out
+    fn = WEIGHTS[name]
+    scaled = shoot_eigenvalue(lambda t: np.ldexp(fn(t), k), np.ldexp(bracket, -k))
+    assert scaled == np.ldexp(shoot_eigenvalue(fn, bracket), -k)
 
 
 def test_the_oracle_never_echoes_its_centre():
@@ -503,9 +526,8 @@ def test_linear_steps_match_rk4_on_the_identity(name, n_steps):
         m_half = np.random.default_rng(n_steps).uniform(-1.0, 1.0, 2 * n_steps + 1)
     else:
         m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
-    t0, w, m_max = shooting._linear_steps(m_half)
+    t0, w = shooting._linear_steps(m_half)
     assert w.shape == (n_steps, 4, 4)
-    assert m_max == np.max(np.abs(m_half))
     for mu in [sign * scale for scale in (1.0, 1e3, 1e5, 4.6e7) for sign in (1, -1)]:
         p = np.moveaxis(_rk4_on_the_identity(mu, m_half), -1, 0)
         # both sides round sums of terms up to the largest entry, which a
@@ -513,19 +535,14 @@ def test_linear_steps_match_rk4_on_the_identity(name, n_steps):
         assert np.max(np.abs(t0 + mu * w - p)) <= 8 * np.finfo(float).eps * np.max(np.abs(p))
 
 
-def test_a_shoot_builds_its_step_matrices_once(monkeypatch):
-    monkeypatch.setattr(shooting, "_cache", {})
-    builds = []
-    inner = shooting._folded_steps
-
-    def counting(m_half):
-        builds.append(len(m_half))
-        return inner(m_half)
-
-    monkeypatch.setattr(shooting, "_folded_steps", counting)
+def test_a_shoot_builds_its_step_matrices_once(monkeypatch, count_calls):
+    # every build of the folded steps starts from the steps of one weight
+    shooting._folded_steps.cache_clear()
+    builds = count_calls(shooting, "_linear_steps", key=len)
     evaluated = _count_determinants(monkeypatch)
     shoot_eigenvalue(WEIGHTS["sin3pi"], (114215.5, 114714.3))
-    assert builds == [2 * shooting.DEFAULT_STEPS + 1]
+    assert builds == {2 * shooting.DEFAULT_STEPS + 1: 1}
+    assert shooting._folded_steps.cache_info().misses == 1
     assert len(evaluated) > 2
 
 
@@ -552,9 +569,9 @@ def test_block_product_keeps_the_per_step_sign(n_steps):
     mus = [-4.6e7, -1e6, -6.8e4, -500.0, 97.0, 500.0, 1e4, 1.15e5, 1e6, 4.6e7]
     for name in ("one", "sin3pi"):
         m_half = shooting._weight_on_half_grid(WEIGHTS[name], n_steps)
-        steps = shooting._folded_steps(m_half)
+        weight = shooting._weight(WEIGHTS[name], n_steps)
         for mu in mus:
-            d = shooting._boundary_determinant(mu, steps)
+            d = shooting._boundary_determinant(mu, weight)
             assert np.isfinite(d)
             assert np.sign(d) == np.sign(_determinant_per_step(mu, m_half))
 
@@ -570,16 +587,17 @@ def test_block_product_keeps_the_per_step_sign(n_steps):
 ], ids=["one-k1", "one-k5", "one-k26", "sin3pi-plus", "sin3pi-minus", "sin3pi-minus-4.6e7"])
 def test_block_product_roots_match_the_per_step_roots(monkeypatch, name, bracket):
     root = shoot_eigenvalue(WEIGHTS[name], bracket)
-    monkeypatch.setattr(shooting, "_steps", lambda m_half: m_half)
-    monkeypatch.setattr(shooting, "_boundary_determinant", _determinant_per_step)
+    monkeypatch.setattr(shooting, "_boundary_determinant",
+                        lambda mu, weight: _determinant_per_step(mu, np.frombuffer(weight[0])))
     assert root == pytest.approx(shoot_eigenvalue(WEIGHTS[name], bracket), rel=1e-12)
 
 
-def _determinant_unfolded(mu, steps):
+def _determinant_unfolded(mu, m_half):
     """The block product that forms every step T0 + mu W[j], which the
     folded pairs replaced, kept verbatim as the reference they must
-    reproduce; steps is _linear_steps(m_half)."""
-    t0, w, m_max = steps
+    reproduce."""
+    t0, w = shooting._linear_steps(m_half)
+    m_max = np.max(np.abs(m_half))
     n = len(w)
     reach = (abs(mu) * m_max) ** 0.25
     size = shooting.BLOCK
@@ -607,7 +625,8 @@ def test_folded_pairs_match_the_unfolded_block_product(n_steps):
     # group of four, which identity steps close; on 16 steps blocks fall
     # below four steps from |mu m| = 256 on.  The last two shifts put
     # blocks of two steps, then of one, under every step count.  sin3pi
-    # scaled by 1e100 overflows the quartic and takes the unfolded steps
+    # scaled by 1e100 would overflow an unscaled quartic; scaled, it
+    # takes the quartic like every other weight
     for name in sorted(WEIGHTS) + ["random", "scaled"]:
         scale = 1e100 if name == "scaled" else 1.0
         if name == "random":  # a rough weight, drawn as in the per-step test
@@ -615,13 +634,14 @@ def test_folded_pairs_match_the_unfolded_block_product(n_steps):
         else:
             fn = WEIGHTS["sin3pi" if name == "scaled" else name]
             m_half = scale * shooting._weight_on_half_grid(fn, n_steps)
-        folded, unfolded = shooting._folded_steps(m_half), shooting._linear_steps(m_half)
-        assert (folded[1] is None) == (name == "scaled")
+        weight = (m_half.tobytes(), np.max(np.abs(m_half)))
+        assert all(np.all(np.isfinite(c))
+                   for c in shooting._folded_steps(weight[0], shooting.FOLD))
         mus = np.concatenate([np.geomspace(10.0, 5e7, 13) / scale,
-                              (n_steps / np.array([3.0, 1.5])) ** 4 / unfolded[2]])
+                              (n_steps / np.array([3.0, 1.5])) ** 4 / weight[1]])
         for mu in np.concatenate([mus, -mus]):
-            d = shooting._boundary_determinant(mu, folded)
-            reference = _determinant_unfolded(mu, unfolded)
+            d = shooting._boundary_determinant(mu, weight)
+            reference = _determinant_unfolded(mu, m_half)
             assert np.sign(d) == np.sign(reference) != 0.0
             assert abs(d / reference - 1.0) <= 1e-10
 
@@ -633,41 +653,42 @@ def _array_bytes(x):
 
 
 def test_a_cache_entry_keeps_one_copy_of_the_shared_coefficient():
-    # the samples, four (2500, 4, 4) coefficients and one T0^4; T0^4
+    # the key's samples, four (2500, 4, 4) coefficients and one T0^4; T0^4
     # broadcast to every group would add 320 000 bytes and slow the build
-    m_half = shooting._weight_on_half_grid(WEIGHTS["sin3pi"], shooting.DEFAULT_STEPS)
-    assert _array_bytes(shooting._folded_steps(m_half)) <= 1_440_136
+    samples, _ = shooting._weight(WEIGHTS["sin3pi"], shooting.DEFAULT_STEPS)
+    poly = shooting._folded_steps(samples, shooting.FOLD)
+    assert len(samples) + _array_bytes(poly) <= 1_440_136
 
 
-def test_a_warm_cache_gives_the_bits_of_a_cold_one(monkeypatch):
-    monkeypatch.setattr(shooting, "_cache", {})
+def test_a_warm_cache_gives_the_bits_of_a_cold_one():
+    shooting._folded_steps.cache_clear()
     fn, bracket = WEIGHTS["sin3pi"], (-68330.8, -67832.1)
     cold = (boundary_determinant(-68000.0, fn), shoot_eigenvalue(fn, bracket))
-    assert len(shooting._cache) == 1
+    assert shooting._folded_steps.cache_info().currsize == 1
     warm = (boundary_determinant(-68000.0, fn), shoot_eigenvalue(fn, bracket))
     assert warm == cold
-    monkeypatch.setattr(shooting, "_cache", {})
+    shooting._folded_steps.cache_clear()
     assert (shoot_eigenvalue(fn, bracket), boundary_determinant(-68000.0, fn)) == cold[::-1]
 
 
-def test_the_cache_misses_a_changed_weight_and_keeps_its_capacity(monkeypatch, count_calls):
-    monkeypatch.setattr(shooting, "_cache", {})
-    builds = count_calls(shooting, "_folded_steps")
+def test_the_cache_misses_a_changed_weight_and_keeps_its_capacity():
+    shooting._folded_steps.cache_clear()
+    cache = shooting._folded_steps.cache_info
     one = WEIGHTS["one"]
     # the same weight again, then one sample one ulp away, then fewer steps
     nudged = lambda t: np.where(np.arange(len(t)) == len(t) // 2, np.nextafter(1.0, 2.0), 1.0)
     for m in (one, one, nudged):
         boundary_determinant(100.0, m)
     boundary_determinant(100.0, one, n_steps=5000)
-    assert builds.total() == 3
+    assert cache().misses == 3
     for c in np.linspace(0.5, 2.0, 2 * shooting.CACHE_SIZE):
         boundary_determinant(100.0, lambda t: np.full_like(t, c))
-        assert len(shooting._cache) <= shooting.CACHE_SIZE
-    assert builds.total() == 3 + 2 * shooting.CACHE_SIZE
+        assert cache().currsize <= shooting.CACHE_SIZE
+    assert cache().misses == 3 + 2 * shooting.CACHE_SIZE
     # the weight last used is kept and hits; the one used first was dropped
     boundary_determinant(100.0, lambda t: np.full_like(t, 2.0))
     boundary_determinant(100.0, one)
-    assert builds.total() == 4 + 2 * shooting.CACHE_SIZE
+    assert cache().misses == 4 + 2 * shooting.CACHE_SIZE
 
 
 @pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg"])
