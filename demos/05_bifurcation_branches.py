@@ -35,7 +35,7 @@ for k in (1, 2):
         last = branch.points[-1]
         print(f"k={k} sigma={sigma:+d}: {len(branch.points)} points, "
               f"mu {branch.points[0].mu:9.4f} -> {last.mu:9.4f}, "
-              f"e_norm -> {last.norm:8.2f}, "
+              f"e_norm -> {last.profile.norm:8.2f}, "
               f"zeros held at {last.profile.count}, "
               f"termination {branch.termination}")
 

@@ -15,10 +15,10 @@ Both the start polish and every branch step call nonlinear.newton on
 the hyperplane through the predictor: normal (h phi, 0) at the start,
 which pins the amplitude, and the unit tangent on a step, which is the
 pseudo-arclength equation.  Branch points keep the fixed-point residual
-below CORRECTOR_TOL * (1 + e_norm), with e_norm that of the predictor or
-of the previous point, whichever is larger; the amplitude factor reflects
-the float noise floor of the residual evaluation, which is proportional
-to the solution amplitude.
+below nonlinear.CORRECTOR_TOL * (1 + e_norm), with e_norm the start
+amplitude eps for the start polish and the previous point's for a step;
+the amplitude factor reflects the float noise floor of the residual
+evaluation, which is proportional to the solution amplitude.
 
 The nodal-solution driver reformulates u'''' = gamma m f(u) with an
 auxiliary factor mu on the right-hand side, starts the (k, nu, sigma)
@@ -34,10 +34,10 @@ import numpy as np
 from .errors import (GammaNotAdmissible, NoConvergence, NoCrossing,
                      SingularJacobian, StartFailure, StepFailure,
                      TrivialFunction, ValidationError)
-from .grid import SampledFn, e_norm, from_interior
+from .grid import SampledFn, from_interior
 from .nodal import nodal_profile
-from .nonlinear import (AutonomousProblem, check_asymptotics, fp_residual,
-                        newton)
+from .nonlinear import (CORRECTOR_TOL, AutonomousProblem, check_asymptotics,
+                        fp_residual, newton)
 from .spectrum import widest_resolvable_window
 
 TERM_NORM_BUDGET = "NormBudget"
@@ -45,7 +45,6 @@ TERM_STEP_FAILURE = "StepFailure"
 TERM_HYPERPLANE = "HyperplaneGoal"
 TERM_MAX_STEPS = "MaxSteps"
 
-CORRECTOR_TOL = 1e-10      # residual bound, times (1 + e_norm) on branch points
 MAX_CORRECTOR_ITER = 12    # Newton iterations per corrector call
 GROW_FACTOR = 1.2          # ds growth after each accepted step, up to ds_max
 HYPERPLANE_TOL = 1e-6      # |mu - 1| under which a branch point is on the plane
@@ -58,8 +57,8 @@ class ContinuationConfig:
     """The four branch settings: the first step ds, finite, halved toward
     DS_MIN on a rejected step and grown by GROW_FACTOR toward ds_max on an
     accepted one; the stops max_steps and norm_budget.  The start amplitude
-    EPS_START, DS_MIN, CORRECTOR_TOL, MAX_CORRECTOR_ITER and HYPERPLANE_TOL
-    are module constants."""
+    EPS_START, DS_MIN, MAX_CORRECTOR_ITER and HYPERPLANE_TOL are module
+    constants, and CORRECTOR_TOL is nonlinear's."""
 
     ds: float = 0.05
     ds_max: float = 0.5
@@ -81,8 +80,7 @@ class ContinuationConfig:
 class BranchPoint:
     mu: float
     u: SampledFn
-    norm: float           # e_norm(u), as profile.norm
-    profile: object       # NodalProfile
+    profile: object       # NodalProfile; its norm is e_norm(u)
     arclength: float
 
 
@@ -95,16 +93,6 @@ class Branch:
     points: tuple
     termination: str     # None until trace_branch has traced the branch
     flags: tuple
-
-
-def _point_tol(u0, scale):
-    """Branch-point tolerance for a correction started at u0; a u0 whose
-    E-norm overflows fails the step, as a non-finite predictor does."""
-    with np.errstate(over="raise"):
-        try:
-            return CORRECTOR_TOL * (1.0 + max(e_norm(u0), scale))
-        except FloatingPointError:
-            raise NoConvergence("the predictor's E-norm overflows") from None
 
 
 def _validate_trivial_line(spec, mu):
@@ -142,14 +130,13 @@ def bifurcation_start(k, nu, sigma, spec, spectrum_result):
     for _ in range(9):
         u0 = eps * sigma * phi
         try:
-            u, mu = newton(u0, origin_mu, spec, tol=_point_tol(u0, eps),
+            u, mu = newton(u0, origin_mu, spec, tol=CORRECTOR_TOL * (1.0 + eps),
                            max_iter=MAX_CORRECTOR_ITER,
                            border=(phi.grid.h * phi.interior, 0.0))
             profile = nodal_profile(u)
             defect = profile.class_defect(k, sigma)
             if defect is None and profile.norm <= 1.05 * eps:
-                point = BranchPoint(mu=mu, u=u, norm=profile.norm,
-                                    profile=profile, arclength=0.0)
+                point = BranchPoint(mu=mu, u=u, profile=profile, arclength=0.0)
                 return Branch(k=k, nu=nu, sigma=sigma, origin_mu=origin_mu,
                               points=(point,), termination=None, flags=())
             last_exc = StartFailure(
@@ -208,7 +195,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                     raise NoConvergence(f"non-finite predictor at ds={ds:.3e}")
                 pred_u = from_interior(spec.grid, pred)
                 u, mu = newton(pred_u, pred_mu, spec,
-                               tol=_point_tol(pred_u, cur.norm),
+                               tol=CORRECTOR_TOL * (1.0 + cur.profile.norm),
                                max_iter=MAX_CORRECTOR_ITER,
                                border=(h * t_u, t_mu / mu_scale))
                 try:
@@ -227,7 +214,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
                 ds = max(0.5 * ds, DS_MIN)
 
         u, mu, profile = accepted
-        if profile is None or profile.norm < 0.1 * first.norm:
+        if profile is None or profile.norm < 0.1 * first.profile.norm:
             # amplitude collapsed back to the trivial line.  Containment in
             # S_k^sigma forbids meeting (mu_j, 0) with j != k, not (mu_k^-nu,
             # 0), whose eigenfunction lies in S_k too (linear_ramp, k = 1)
@@ -237,7 +224,7 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
         du = u.interior - cur.u.interior
         dmu = (mu - cur.mu) / mu_scale
         step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
-        points.append(BranchPoint(mu=mu, u=u, norm=profile.norm, profile=profile,
+        points.append(BranchPoint(mu=mu, u=u, profile=profile,
                                   arclength=cur.arclength + step_len))
         if stop_at_mu is not None and (cur.mu - stop_at_mu) * (mu - stop_at_mu) <= 0.0:
             termination = TERM_HYPERPLANE
@@ -284,7 +271,7 @@ def cross_hyperplane(branch, spec):
     last = branch.points[-1]
     raise NoCrossing(
         f"branch never bracketed mu = 1: reached mu={last.mu:.6g}, "
-        f"e_norm={last.norm:.3e}, termination={branch.termination}")
+        f"e_norm={last.profile.norm:.3e}, termination={branch.termination}")
 
 
 def admissible_interval(mu_k, f):
@@ -350,7 +337,7 @@ def save_branch(branch, outdir, basename):
         fh.write("step,arclength,mu,enorm,count,sigma\n")
         for i, p in enumerate(branch.points):
             fh.write(f"{i},{p.arclength:.17g},{p.mu:.17g},"
-                     f"{p.norm:.17g},{p.profile.count},"
+                     f"{p.profile.norm:.17g},{p.profile.count},"
                      f"{p.profile.sigma:+d}\n")
             point_paths.append(os.path.join(side_dir, f"point_{i:04d}.csv"))
             to_csv(p.u, point_paths[-1])

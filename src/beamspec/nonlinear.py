@@ -37,6 +37,7 @@ from .grid import SampledFn, e_norm, from_interior
 from .linops import EPS, SecondDiffOperator, _MixedLU
 
 SLOPE_RTOL = 1e-3   # relative tolerance of check_asymptotics on f0 and finf
+CORRECTOR_TOL = 1e-10  # newton's residual bound, times (1 + e_norm) by default
 
 
 @dataclass(frozen=True)
@@ -177,8 +178,10 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     Iterates on the mixed (u, w) system with one banded LU per iteration;
     a step is accepted when it reduces the merit, the fixed-point residual
     plus the border residual (Armijo halving with floor 2^-16).  Converges
-    when both residuals drop below tol, default 1e-10 * (1 + e_norm(u0)).
-    An iterate whose residual is not finite raises NoConvergence.
+    when both residuals drop below tol, default CORRECTOR_TOL * (1 +
+    e_norm(u0)); a caller that already holds the start's E-norm passes its
+    own.  A start whose w = A u0 or residual is not finite, and an iterate
+    whose residual is not finite, raise NoConvergence.
     Without a border, a reciprocal condition estimate below machine
     epsilon raises SingularJacobian: mu sits at a bifurcation point.
 
@@ -192,25 +195,26 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
     """
     check_boundary(u0)
     if tol is None:
-        tol = 1e-10 * (1.0 + e_norm(u0))
+        tol = CORRECTOR_TOL * (1.0 + e_norm(u0))
     a = SecondDiffOperator(spec.grid)
     u = u0.interior.copy()
-    w = a.apply(u)
     mu0 = mu
 
-    def residuals(u, mu):
-        # a huge iterate may overflow to inf or nan; refusing it is the
-        # outcome, so numpy need not warn
+    def residuals(u, mu, start=False):
+        # a huge start or iterate may overflow to inf or nan; refusing it
+        # is the outcome, so numpy need not warn.  The start also derives
+        # its w = A u here
         with np.errstate(over="ignore", invalid="ignore"):
+            w = a.apply(u) if start else 0.0
             merit = float(np.max(np.abs(_fp(u, mu, spec))))
             rc = (0.0 if border is None
                   else border[0] @ (u - u0.interior) + border[1] * (mu - mu0))
-        if not (np.isfinite(merit) and np.isfinite(rc)):
-            raise NoConvergence("non-finite iterate or residual")
-        return merit, rc
+        if not (np.isfinite(merit) and np.isfinite(rc) and np.all(np.isfinite(w))):
+            raise NoConvergence("non-finite start, iterate or residual")
+        return merit, rc, w
 
     history = []
-    merit_eq, rc = residuals(u, mu)
+    merit_eq, rc, w = residuals(u, mu, start=True)
     for iteration in range(max_iter + 1):
         history.append(merit_eq + abs(rc))
         if merit_eq <= tol and abs(rc) <= tol:
@@ -241,7 +245,7 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
         # the accepted trial's residuals are those of the next iterate
         step = 1.0
         while step >= 2.0**-16:
-            merit_eq, rc = residuals(u + step * du, mu + step * dmu)
+            merit_eq, rc, _ = residuals(u + step * du, mu + step * dmu)
             if merit_eq + abs(rc) <= (1.0 - 1e-4 * step) * history[-1]:
                 break
             step *= 0.5
@@ -249,7 +253,7 @@ def newton(u0, mu, spec, tol=None, max_iter=50, return_info=False, border=None):
         w = w + step * dw
         mu = mu + step * dmu
         if step < 2.0**-16:  # the search fell through to a step it never tried
-            merit_eq, rc = residuals(u, mu)
+            merit_eq, rc, _ = residuals(u, mu)
     raise NoConvergence(
         f"newton stalled at residual {history[-1]:.3e} "
         f"(tol {tol:.3e}) after {max_iter} iterations")

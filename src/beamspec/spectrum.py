@@ -67,7 +67,8 @@ SEPARATION_TOL = 1e-6
 
 # numpy asks for transparent huge pages on arrays of this size and more
 _HUGE_ARRAY_BYTES = 1 << 22
-# free heap kept for reuse; the shooting oracle's arrays cycle through ~20 MB
+# free heap kept for reuse; a shoot of the oracle at 10 000 steps peaks at
+# 2.6 MB of traced arrays cold (1.4 MB of them the cached steps), 0.7 MB warm
 _HEAP_KEEP_BYTES = 1 << 25
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 

@@ -136,7 +136,9 @@ def test_solve_refuses_the_sign_condition_before_the_window(tmp_path, capsys,
 def test_huge_first_step_is_capped_at_the_norm_budget(tmp_path, capsys, monkeypatch):
     # a step as long as the norm budget already leaves it, so ds = 1e299
     # starts at the budget instead of halving toward it one newton call
-    # at a time
+    # at a time.  The corrector's tolerance is the start's, about 1e-10:
+    # the step at the budget stalls at a residual of about 3e-10 and one
+    # at half of it converges
     from beamspec import continuation
     newton, calls = continuation.newton, []
     monkeypatch.setattr(continuation, "newton",
@@ -144,8 +146,8 @@ def test_huge_first_step_is_capped_at_the_norm_budget(tmp_path, capsys, monkeypa
     assert run(["branch", "--ds", "1e299", "--ds-max", "1e300", "--n", "300",
                 "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out.count("2 points, termination NormBudget") == 2
-    # one start polish and one step per half
-    assert len(calls) == 4
+    # one start polish and two steps per half
+    assert len(calls) == 6
 
 
 def test_branch_step_failure_exits_3_with_its_manifest(tmp_path, capsys, monkeypatch):
@@ -345,7 +347,8 @@ def test_verify_all_writes_its_report_and_exits_3_on_a_failure(tmp_path, monkeyp
     from beamspec import cli
     reports = [{"criterion": c, "passed": c != 4} for c in range(1, 11)]
     branch = SimpleNamespace(k=1, nu=+1, sigma=+1, origin_mu=97.4,
-                             points=[SimpleNamespace(mu=97.0, norm=0.5)])
+                             points=[SimpleNamespace(mu=97.0,
+                                                     profile=SimpleNamespace(norm=0.5))])
     calls = []
     monkeypatch.setattr(cli, "verify_all",
                         lambda **kw: calls.append(kw) or (reports, [branch]))
@@ -488,7 +491,7 @@ def test_size_arguments_out_of_bounds_are_refused_before_any_work(
         tmp_path, capsys, monkeypatch, argv, message):
     from beamspec import spectrum
     calls = []
-    monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(spectrum, "_decompose", lambda *a, **kw: calls.append(a))
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -515,7 +518,7 @@ def test_k_below_one_is_refused_before_the_pencil(tmp_path, capsys, monkeypatch,
                                                   argv):
     from beamspec import spectrum
     calls = []
-    monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(spectrum, "_decompose", lambda *a, **kw: calls.append(a))
     assert run(argv + ["--k", "0", "--n", "300", "--out", str(tmp_path)]) == 2
     assert "--k must be at least 1, got 0" in capsys.readouterr().err
     assert calls == []
@@ -525,7 +528,7 @@ def test_out_that_is_a_file_is_refused_before_the_pencil(tmp_path, capsys,
                                                          monkeypatch):
     from beamspec import spectrum
     calls = []
-    monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(spectrum, "_decompose", lambda *a, **kw: calls.append(a))
     out = tmp_path / "taken"
     out.write_text("")
     assert run(["spectrum", "--n", "48", "--out", str(out)]) == 2
@@ -541,7 +544,7 @@ def test_out_under_a_file_is_refused_before_the_pencil(tmp_path, capsys,
     # directory can never be made
     from beamspec import spectrum
     calls = []
-    monkeypatch.setattr(spectrum, "eigh", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(spectrum, "_decompose", lambda *a, **kw: calls.append(a))
     afile = tmp_path / "afile"
     afile.write_text("")
     out = afile / "sub" / "deeper"

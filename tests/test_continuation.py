@@ -39,7 +39,7 @@ def test_start_linear_problem(setup):
     # the linear branch is vertical: the polished mu equals the pencil value
     assert abs(start.mu - res.positive[0].mu) <= 1e-8
     assert start.profile.count == 0 and start.profile.sigma == +1
-    assert start.norm <= 1.05e-3
+    assert start.profile.norm <= 1.05e-3
 
 
 def test_start_sign_convention(setup):
@@ -109,7 +109,7 @@ def test_trace_linear_branch_is_vertical(setup):
     drift = max(abs(p.mu - start.points[0].mu) for p in branch.points)
     assert drift <= 1e-6
     # norm grows monotonically along the vertical branch
-    norms = [p.norm for p in branch.points]
+    norms = [p.profile.norm for p in branch.points]
     assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
@@ -169,7 +169,7 @@ def test_trace_cubic_halves_mirror(setup):
     for i in range(npts):
         assert bp.points[i].mu == pytest.approx(bm.points[i].mu, abs=1e-8)
         gap = np.max(np.abs(bp.points[i].u.values + bm.points[i].u.values))
-        assert gap <= 1e-8 * max(1.0, bp.points[i].norm)
+        assert gap <= 1e-8 * max(1.0, bp.points[i].profile.norm)
 
 
 def test_trace_profile_constant(setup):
@@ -188,16 +188,16 @@ def one300():
     return sample(lambda t: np.ones_like(t), make_grid(300))
 
 
-def test_an_accepted_step_runs_the_stencils_six_times(one300, count_calls):
-    # three derivatives of the predictor for the corrector tolerance and
-    # three of the corrected point for its profile, which also gives the
-    # point its E-norm; a rejected step would add its own
+def test_an_accepted_step_runs_the_stencils_three_times(one300, count_calls):
+    # the three derivatives of the corrected point for its profile, which
+    # also gives the point its E-norm; the corrector tolerance reads the
+    # previous point's E-norm, so the predictor is never derived
     spec = PerturbedProblem(m=one300, g=cubic_perturbation())
     start = bifurcation_start(1, +1, +1, spec, eigen_pencil(one300, 1, 0))
     stencils = count_calls(grid, "derivative")
     branch = trace_branch(start, spec, ContinuationConfig(max_steps=20))
     assert branch.termination == continuation.TERM_MAX_STEPS
-    assert stencils.total() == 6 * 20
+    assert stencils.total() == 3 * 20
 
 
 def test_a_step_onto_the_trivial_line_ends_the_branch_as_a_collapse(one300):
@@ -210,7 +210,7 @@ def test_a_step_onto_the_trivial_line_ends_the_branch_as_a_collapse(one300):
     assert len(branch.flags) == 1
     assert branch.flags[0].startswith("falsification: amplitude collapse at mu=")
     # the step on the trivial line keeps no point
-    assert all(p.norm > TRIVIAL_TOL for p in branch.points)
+    assert all(p.profile.norm > TRIVIAL_TOL for p in branch.points)
 
 
 def test_a_collapsed_first_step_keeps_no_point(one300):
@@ -222,14 +222,15 @@ def test_a_collapsed_first_step_keeps_no_point(one300):
     branch = trace_branch(start, spec, stop_at_mu=1.0)
     assert branch.termination == continuation.TERM_STEP_FAILURE
     assert branch.flags[0].startswith("falsification: amplitude collapse at mu=")
-    assert all(p.norm >= 0.1 * start.points[0].norm for p in branch.points)
+    floor = 0.1 * start.points[0].profile.norm
+    assert all(p.profile.norm >= floor for p in branch.points)
 
 
 def test_a_branch_point_carries_no_label_of_its_branch(setup):
     # (k, nu, sigma, origin_mu) live on the Branch: the start is a one-point
     # branch, untraced, and the trace extends it
     assert [f.name for f in dataclasses.fields(BranchPoint)] == [
-        "mu", "u", "norm", "profile", "arclength"]
+        "mu", "u", "profile", "arclength"]
     g, one, res = setup
     spec = PerturbedProblem(m=one, g=cubic_perturbation())
     start = bifurcation_start(2, +1, -1, spec, res)
@@ -256,8 +257,8 @@ def test_the_ramp_k1_continuum_returns_at_the_other_signs_eigenvalue(nu, sigma):
     branch = trace_branch(bifurcation_start(1, nu, sigma, spec, res), spec)
     last = branch.points[-1]
     assert last.mu == pytest.approx(res.pair(1, -nu).mu, rel=1e-6, abs=0.0)
-    assert last.norm < continuation.EPS_START
-    assert max(p.norm for p in branch.points) > 100.0
+    assert last.profile.norm < continuation.EPS_START
+    assert max(p.profile.norm for p in branch.points) > 100.0
 
 
 @pytest.mark.parametrize("ds, ds_max", [(math.inf, math.inf), (math.nan, 1.0)],
@@ -312,10 +313,10 @@ def test_step_halving_reproduces_curve(setup):
     s1 = np.array([p.arclength for p in b1.points]) / b1.points[-1].arclength
     s2 = np.array([p.arclength for p in b2.points]) / b2.points[-1].arclength
     mu2 = np.interp(s1, s2, [p.mu for p in b2.points])
-    en2 = np.interp(s1, s2, [p.norm for p in b2.points])
+    en2 = np.interp(s1, s2, [p.profile.norm for p in b2.points])
     for i in range(1, len(s1)):
         assert b1.points[i].mu == pytest.approx(mu2[i], rel=1e-6)
-        assert b1.points[i].norm == pytest.approx(en2[i], rel=1e-6)
+        assert b1.points[i].profile.norm == pytest.approx(en2[i], rel=1e-6)
 
 
 def test_cross_hyperplane_vertical_linear_f(setup):

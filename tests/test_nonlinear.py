@@ -3,8 +3,8 @@ import pytest
 
 from beamspec import nonlinear
 from beamspec.errors import (AsymptoticMismatch, BoundaryViolation,
-                             SingularJacobian, ValidationError)
-from beamspec.grid import SampledFn, make_grid, sample
+                             NoConvergence, SingularJacobian, ValidationError)
+from beamspec.grid import SampledFn, from_interior, make_grid, sample
 from beamspec.nonlinear import (AsymptoticF, AutonomousProblem,
                                 PerturbedProblem, check_asymptotics,
                                 fp_residual, newton)
@@ -263,6 +263,18 @@ def test_newton_builds_no_sampled_fn_per_residual(monkeypatch):
     assert min(it_a, it_b) >= 3
     assert ev_a != ev_b
     assert built_a == built_b
+
+
+def test_newton_refuses_a_start_whose_second_difference_overflows():
+    # at amplitude 1e308 the source and the residual are finite for mu =
+    # 1e-3, but w = A u0 (about pi^2 u0) overflows; the start is refused
+    # as it stands, with no numpy warning (warnings are errors here)
+    g, one = _one(300)
+    spec = PerturbedProblem(m=one, g=zero_perturbation())
+    shape = np.sin(np.pi * g.interior_nodes)
+    u0 = from_interior(g, 1e308 * shape)
+    with pytest.raises(NoConvergence, match="non-finite start"):
+        newton(u0, 1e-3, spec, tol=1e-10, border=(g.h * shape, 0.0))
 
 
 def test_newton_singular_at_eigenvalue():

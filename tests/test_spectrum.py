@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 
 import beamspec
 import beamspec.grid
@@ -227,18 +226,12 @@ def _rows(pairs):
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
-def test_window_matches_retry_reference(name, monkeypatch):
+def test_window_matches_retry_reference(name, count_calls):
     m = sample(weight(name), make_grid(300))
     ref = _window_by_retry(m)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "eigh", counted)
+    decompositions = count_calls(spectrum, "_decompose")
     res = widest_resolvable_window(m)
-    assert len(calls) == 1
+    assert decompositions.total() == 1
     assert _rows(res.positive) == _rows(ref.positive)
     assert _rows(res.negative) == _rows(ref.negative)
     assert set(res.flags) == set(ref.flags)
@@ -747,13 +740,17 @@ def test_extrapolation_takes_only_eigenvalues_from_the_coarse_grid(name, monkeyp
     def no_profile(phi):
         raise AssertionError("nodal_profile called")
 
-    def values_only(*args, **kwargs):
-        assert kwargs.get("eigvals_only")
-        return eigh(*args, **kwargs)
+    decompose, calls = spectrum._decompose, []
+
+    def values_only(m, count_pos, count_neg, vectors):
+        assert not vectors
+        calls.append(m.grid.n_interior)
+        return decompose(m, count_pos, count_neg, vectors)
 
     monkeypatch.setattr(spectrum, "nodal_profile", no_profile)
-    monkeypatch.setattr(spectrum, "eigh", values_only)
+    monkeypatch.setattr(spectrum, "_decompose", values_only)
     _, pos_x, neg_x = eigen_pencil_extrapolated(
         fn, grid, len(fine.positive), len(fine.negative), fine=fine)
+    assert calls == [300]
     assert len(pos_x + neg_x) == len(expected) == len(fine.positive) + len(fine.negative)
     np.testing.assert_allclose(pos_x + neg_x, expected, rtol=1e-11, atol=0.0)

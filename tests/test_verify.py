@@ -4,6 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from beamspec import verify
+from beamspec.continuation import (TERM_NORM_BUDGET, TERM_STEP_FAILURE, Branch,
+                                   BranchPoint)
+from beamspec.grid import make_grid, sample
+from beamspec.nodal import nodal_profile
 
 
 def test_verify_all_runs_each_check_once_and_prints_in_criterion_order(monkeypatch,
@@ -94,3 +98,78 @@ def test_spacing_of_the_constant_weight(spectrum_one800):
     assert report["passed"] and report["worst"] <= 1e-3
     # negative control: the k = 2 eigenfunction relabelled as k = 3
     assert not verify.check_spacing({"one": _relabelled(spectrum_one800, 2, 3)})["passed"]
+
+
+def _battery():
+    """Ten k = 1 branches of 100 points, the sigma halves of five pairs:
+    sigma a sin(pi t) for a from 1e-3 to 1e3 on 63 interior nodes, each
+    point with its real nodal profile, every branch at its norm budget."""
+    grid = make_grid(63)
+    halves = {}
+    for sigma in (+1, -1):
+        points = []
+        for i, a in enumerate(np.geomspace(1e-3, 1e3, 100)):
+            u = sample(lambda t: sigma * a * np.sin(np.pi * t), grid)
+            points.append(BranchPoint(mu=np.pi ** 4, u=u,
+                                      profile=nodal_profile(u), arclength=float(i)))
+        halves[sigma] = Branch(k=1, nu=+1, sigma=sigma, origin_mu=np.pi ** 4,
+                               points=tuple(points), termination=TERM_NORM_BUDGET,
+                               flags=())
+    return [halves[sigma] for _ in range(5) for sigma in (+1, -1)]
+
+
+def _with_point(branch, i, u, profile=None):
+    """branch with its point i moved to u, profiled afresh unless given."""
+    points = list(branch.points)
+    points[i] = dataclasses.replace(points[i], u=u,
+                                    profile=profile or nodal_profile(u))
+    return dataclasses.replace(branch, points=tuple(points))
+
+
+def test_branch_invariants_pass_a_healthy_battery():
+    report6, report7 = verify.check_branch_invariants(_battery())
+    assert report6["passed"] and report6["doubles"] == 0
+    assert report6["points_per_branch"] == [100] * 10
+    assert report7["passed"] and report7["containment"] and report7["distinct"]
+
+
+def test_branch_invariants_fail_a_point_with_a_generalized_double_zero():
+    # sin(pi t) (t - 1/2)^6 has u', u'' and u''' vanishing at the node t = 1/2
+    branches = _battery()
+    grid = branches[0].points[0].u.grid
+    u = sample(lambda t: np.sin(np.pi * t) * (t - 0.5) ** 6, grid)
+    assert not nodal_profile(u).is_nodal
+    branches[0] = _with_point(branches[0], 50, u)
+    report6, report7 = verify.check_branch_invariants(branches)
+    assert not report6["passed"] and report6["doubles"] == 1
+    assert not report7["passed"] and not report7["containment"]
+
+
+def test_branch_invariants_fail_a_point_outside_its_nodal_class():
+    # sin(2 pi t) is nodal with one interior zero: in S_2^+, not in S_1^+
+    branches = _battery()
+    u = sample(lambda t: np.sin(2.0 * np.pi * t), branches[2].points[0].u.grid)
+    branches[2] = _with_point(branches[2], 99, u)
+    report6, report7 = verify.check_branch_invariants(branches)
+    assert report6["passed"]
+    assert not report7["passed"] and not report7["containment"] and report7["distinct"]
+
+
+def test_branch_invariants_fail_a_branch_that_stopped_short_of_its_budget():
+    branches = _battery()
+    branches[5] = dataclasses.replace(branches[5], termination=TERM_STEP_FAILURE)
+    report6, report7 = verify.check_branch_invariants(branches)
+    assert report6["passed"]
+    assert not report7["passed"] and not report7["containment"] and report7["distinct"]
+
+
+def test_branch_invariants_fail_sigma_halves_that_share_a_point():
+    # the minus half takes the plus half's point 40 but keeps its own
+    # profile there, so only the distinctness of the halves can fail
+    branches = _battery()
+    minus = branches[7]
+    shared = branches[6].points[40].u
+    branches[7] = _with_point(minus, 40, shared, profile=minus.points[40].profile)
+    report6, report7 = verify.check_branch_invariants(branches)
+    assert report6["passed"]
+    assert not report7["passed"] and report7["containment"] and not report7["distinct"]
