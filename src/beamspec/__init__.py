@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .analysis import degree_parity_sweep, sturm_check
 from .continuation import (Branch, BranchPoint, ContinuationConfig,
                            bifurcation_start, cross_hyperplane, save_branch,
-                           solve_nodal, solve_nodal_range, trace_branch)
+                           solve_nodal, trace_branch)
 from .errors import *  # noqa: F401,F403 - the exception vocabulary
 from .grid import (Grid, SampledFn, derivative, e_norm, from_csv,
                    from_interior, interior_dot, make_grid, sample, to_csv)

@@ -160,7 +160,9 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
     step budget, persistent step failure, or when mu crosses stop_at_mu.
     A step whose E-norm falls below a tenth of the start's, the first step
     included, or onto u = 0 (no profile exists there), keeps no point and
-    ends the branch as a step failure flagged as falsification.
+    ends the branch as a step failure flagged as falsification.  A step
+    whose secant length is 0 or overflows keeps no point and ends the
+    branch as a step failure flagged with that length.
     """
     if config is None:
         config = ContinuationConfig()
@@ -183,8 +185,6 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
 
     while len(points) - 1 < config.max_steps:
         cur = points[-1]
-        if step_len == 0.0:
-            raise StepFailure("degenerate tangent: consecutive points coincide")
         t_u, t_mu = du / step_len, dmu / step_len
         accepted = None
         while accepted is None:
@@ -223,7 +223,12 @@ def trace_branch(start, spec, config=None, stop_at_mu=None):
             break
         du = u.interior - cur.u.interior
         dmu = (mu - cur.mu) / mu_scale
-        step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
+        with np.errstate(over="ignore"):
+            step_len = float(np.sqrt(h * np.dot(du, du) + dmu * dmu))
+        if not 0.0 < step_len < np.inf:  # no tangent: keep no point of this step
+            flags.append(f"step failure: secant length {step_len:g} at ds={ds:.3e}")
+            termination = TERM_STEP_FAILURE
+            break
         points.append(BranchPoint(mu=mu, u=u, profile=profile,
                                   arclength=cur.arclength + step_len))
         if stop_at_mu is not None and (cur.mu - stop_at_mu) * (mu - stop_at_mu) <= 0.0:
@@ -302,22 +307,6 @@ def solve_nodal(gamma, f, m, k, nu, sigma, config=None, spectrum_result=None):
     start = bifurcation_start(k, nu, sigma, spec, spectrum_result)
     branch = trace_branch(start, spec, config, stop_at_mu=1.0)
     return cross_hyperplane(branch, spec)
-
-
-def solve_nodal_range(gamma, f, spectrum_result, k_lo, k_hi, nu=+1, config=None):
-    """Pairs (u_j^+, u_j^-) for every nodal index j in k_lo..k_hi.
-
-    The weight and every pair j come from the window spectrum_result.
-    gamma must be admissible for every index in the range; the per-index
-    check raises GammaNotAdmissible on the first violation.
-    """
-    m = spectrum_result.weight
-    out = []
-    for j in range(k_lo, k_hi + 1):
-        plus = solve_nodal(gamma, f, m, j, nu, +1, config, spectrum_result)
-        minus = solve_nodal(gamma, f, m, j, nu, -1, config, spectrum_result)
-        out.append((plus, minus))
-    return out
 
 
 def save_branch(branch, outdir, basename):

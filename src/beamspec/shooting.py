@@ -366,11 +366,11 @@ def shoot_nodal_solution(gamma, m, f, slope0, jerk0, grid):
 
     2-by-2 Newton on the terminal map (u'(0), u'''(0)) -> (u(1), u''(1)),
     seeded with the supplied initial slopes, with a finite-difference
-    Jacobian.  The integration step divides the grid spacing so the
-    trajectory can be read off exactly at the grid nodes.  Returns the
-    solution as a SampledFn.
+    Jacobian.  The integration step divides the grid spacing, with at
+    least DEFAULT_STEPS steps over [0, 1], so the trajectory can be read
+    off exactly at the grid nodes.  Returns the solution as a SampledFn.
     """
-    per_cell = int(np.ceil(1.0 / (1e-4 * (grid.n_interior + 1))))
+    per_cell = -(-DEFAULT_STEPS // (grid.n_interior + 1))
     n_steps = per_cell * (grid.n_interior + 1)
     m_half = _weight_on_half_grid(m, n_steps)
     # Python floats throughout: arithmetic on numpy scalars is slower

@@ -10,8 +10,8 @@ import numpy as np
 
 from .analysis import degree_parity_sweep, parity_samples, sturm_check
 from .continuation import (EPS_START, TERM_HYPERPLANE, TERM_NORM_BUDGET,
-                           ContinuationConfig, bifurcation_start, solve_nodal,
-                           solve_nodal_range, trace_branch)
+                           ContinuationConfig, admissible_interval,
+                           bifurcation_start, solve_nodal, trace_branch)
 from .errors import (GammaNotAdmissible, HypothesisViolated, NoConvergence,
                      NoSignChange, TooCoarse, ValidationError)
 from .grid import (MIN_INTERIOR, derivative, e_norm, interior_dot, make_grid,
@@ -300,10 +300,11 @@ def check_nodal_solutions(spectra, residual_tol=1e-8, agree_tol=1e-4):
     For k = 1, 2 and gamma = 0.75 mu_k^+: both sigma solutions exist in
     S_k^sigma, with fixed-point residual below 1e-8, and max-norm
     agreement with an independent nonlinear shooting solve below 1e-4.
-    gamma = 0.25 mu_1^+ must be rejected.  The multi-index driver at
-    (k, n) = (1, 2) has an empty admissible interval for the saturating
-    nonlinearity, which the report records as a skip notice; the driver
-    runs instead with a wider-gain nonlinearity.
+    gamma = 0.25 mu_1^+ must be rejected.  The multi-index check at
+    (k, n) = (1, 2) computes the intersection of the admissible intervals
+    of both indices for the saturating nonlinearity and records whether it
+    is empty as `skipped`, with a notice when it is; it then calls
+    solve_nodal for each index and sign with a wider-gain nonlinearity.
     """
     f = saturating_f()
     res = spectra["one"]
@@ -339,25 +340,28 @@ def check_nodal_solutions(spectra, residual_tol=1e-8, agree_tol=1e-4):
     ok = ok and rejected
     details["inadmissible_rejected"] = rejected
 
-    # multi-index driver, (k, n) = (1, 2): mu_2 ~ 16 mu_1 and finf = 2 empty
-    # its interval on every grid, so it runs with a gain that opens it
-    mu1, mu2 = res.pair(1, +1).mu, res.pair(2, +1).mu
+    # multi-index check, (k, n) = (1, 2): mu_2 ~ 16 mu_1 and finf = 2 empty the
+    # intersection of both intervals on every grid; a wider gain opens it
+    mu1 = res.pair(1, +1).mu
     gamma_12 = 0.75 * mu1
-    lo, hi = mu2 / f.finf, mu1 / f.f0
-    details["range_driver"] = {
-        "skipped": True,
-        "notice": (f"interval (mu_2/finf, mu_1/f0) = ({lo:.6g}, {hi:.6g}) "
-                   f"is empty for the saturating nonlinearity; "
-                   f"gamma = {gamma_12:.6g} cannot satisfy it")}
+    lows, highs = zip(*(admissible_interval(res.pair(j, +1).mu, f) for j in (1, 2)))
+    lo, hi = max(lows), min(highs)
+    skipped = not lo < hi
+    details["range_driver"] = {"skipped": skipped}
+    if skipped:
+        details["range_driver"]["notice"] = (
+            f"interval (mu_2/finf, mu_1/f0) = ({lo:.6g}, {hi:.6g}) "
+            f"is empty for the saturating nonlinearity; "
+            f"gamma = {gamma_12:.6g} cannot satisfy it")
+    wide = saturating_f(gain=17.0)
     config = ContinuationConfig(norm_budget=5e3, max_steps=2000)
-    pairs = solve_nodal_range(0.96 * mu1, saturating_f(gain=17.0), res, 1, 2,
-                              config=config)
-    profiles = [(nodal_profile(up), nodal_profile(um)) for up, um in pairs]
+    profiles = [[nodal_profile(solve_nodal(0.96 * mu1, wide, m, j, +1, sigma,
+                                           config, res))
+                 for sigma in (+1, -1)] for j in (1, 2)]
     counts = [(pp.count, pm.count) for pp, pm in profiles]
-    wide_ok = len(pairs) == 2 and all(
-        pp.in_class(j, +1) and pm.in_class(j, -1)
-        for j, (pp, pm) in enumerate(profiles, start=1))
-    details["range_driver_wide"] = {"pairs": len(pairs),
+    wide_ok = all(pp.in_class(j, +1) and pm.in_class(j, -1)
+                  for j, (pp, pm) in enumerate(profiles, start=1))
+    details["range_driver_wide"] = {"pairs": len(profiles),
                                     "zero_counts": counts, "ok": wide_ok}
     ok = ok and wide_ok
     return {"criterion": 8, "passed": ok, "details": details}

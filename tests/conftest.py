@@ -1,3 +1,4 @@
+import functools
 import signal
 from collections import Counter
 
@@ -54,18 +55,21 @@ def time_limit():
     signal.signal(signal.SIGALRM, previous)
 
 
+def counted(monkeypatch, owner, name, key=None):
+    """Wrap owner.name through monkeypatch and return a Counter of its
+    calls, keyed by key(*args, **kwargs) when a key is given and by None
+    otherwise."""
+    real, tally = getattr(owner, name), Counter()
+
+    def wrapper(*args, **kwargs):
+        tally[None if key is None else key(*args, **kwargs)] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return tally
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(owner, name, key=None) wraps owner.name for the test and
-    returns a Counter of its calls, keyed by key(*args, **kwargs) when a
-    key is given and by None otherwise."""
-    def install(owner, name, key=None):
-        real, tally = getattr(owner, name), Counter()
-
-        def counted(*args, **kwargs):
-            tally[None if key is None else key(*args, **kwargs)] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-        return tally
-    return install
+    """count_calls(owner, name, key=None): counted() for the test."""
+    return functools.partial(counted, monkeypatch)

@@ -6,8 +6,9 @@ Each test prints its own PASS/FAIL line so a -s run reads as a checklist.
 """
 
 import pytest
+from conftest import counted
 
-from beamspec import shooting, spectrum, verify
+from beamspec import continuation, grid, nonlinear, shooting, spectrum, verify
 
 
 @pytest.fixture
@@ -18,8 +19,20 @@ def decompositions(count_calls):
 
 
 @pytest.fixture(scope="module")
-def branches(spectra):
-    return verify.run_branch_battery(spectra["one"].grid, spectra)
+def traced(spectra):
+    """The battery, traced once, and how often it called the corrector, the
+    mixed factorization, the fixed-point residual and the stencils."""
+    with pytest.MonkeyPatch.context() as mp:
+        work = {name: counted(mp, owner, name)
+                for owner, name in ((continuation, "newton"), (nonlinear, "_MixedLU"),
+                                    (nonlinear, "_fp"), (grid, "derivative"))}
+        branches = verify.run_branch_battery(spectra["one"].grid, spectra)
+    return branches, {name: tally.total() for name, tally in work.items()}
+
+
+@pytest.fixture(scope="module")
+def branches(traced):
+    return traced[0]
 
 
 def _finish(report):
@@ -79,6 +92,13 @@ def test_criterion_06_no_double_zeros(branches):
     assert report6["branches"] >= 8
     assert min(report6["points_per_branch"]) >= 100
     _finish(report6)
+
+
+def test_the_battery_takes_pinned_work(traced):
+    # one corrector call per point, none failed; a change in the work the
+    # battery does shows here, where its time hides in run-to-run spread
+    _, work = traced
+    assert work == {"newton": 1214, "_MixedLU": 1414, "_fp": 2628, "derivative": 3642}
 
 
 def test_criterion_07_branch_containment(branches):

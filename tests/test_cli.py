@@ -425,6 +425,10 @@ def _malformed_files(tmp_path):
     # a predictor whose E-norm overflows fails its step, and ds halves
     (["branch", "--norm-budget", "1e308", "--ds", "1e307", "--ds-max", "1e308",
       "--sigma", "+"], 3),
+    # a secant whose squared length overflows ends each half as a step
+    # failure, with the points before it written
+    (["branch", "--g", "zero", "--norm-budget", "1e308", "--ds", "1e307",
+      "--ds-max", "1e308"], 3),
     # halving keeps an infinite ds infinite: refused before any step
     (["branch", "--ds", "inf", "--ds-max", "inf", "--norm-budget", "inf"], 2),
     (["branch", "--weight", "{header}"], 2),
@@ -454,8 +458,8 @@ def _malformed_files(tmp_path):
         "branch-max-steps-negative", "branch-k-0", "solve-k-0",
         "spectrum-kneg-minus-2", "spectrum-weight-directory", "branch-ds-overflow",
         "solve-infinite-gain", "solve-table-infinite-f0", "solve-table-infinite-finf",
-        "branch-enorm-overflow", "branch-infinite-ds", "branch-header-only-weight",
-        "branch-one-row-weight",
+        "branch-enorm-overflow", "branch-secant-overflow", "branch-infinite-ds",
+        "branch-header-only-weight", "branch-one-row-weight",
         "solve-header-only-table", "degree-samples-above-maximum",
         "solve-overflowing-gain", "branch-unknown-perturbation",
         "solve-unknown-nonlinearity", "spectrum-n-above-maximum",
@@ -463,7 +467,8 @@ def _malformed_files(tmp_path):
         "solve-unknown-f-param"])
 def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, time_limit,
                                                 argv, code):
-    # the slowest case takes about 1.5 s; a hang fails its case
+    # the slowest case, branch-secant-overflow, takes about 30 s: about 1 000
+    # stalled corrector calls per half before its first step; a hang fails its case
     time_limit(60)
     files = _malformed_files(tmp_path)
     # the defaults go before the case's own options, so a case's --n wins
@@ -477,6 +482,11 @@ def test_malformed_inputs_exit_without_traceback(tmp_path, capsys, time_limit,
     # numpy's overflow and empty-input warnings would name library
     # internals to the user
     assert [str(w.message) for w in caught] == []
+    if argv[0] == "branch" and code in (0, 3):
+        # a branch run that ends, failed or not, writes every half it traced
+        written = [e["path"] for e in _manifest_checks_out(tmp_path / "out")["files"]]
+        halves = [p for p in written if p.startswith("branch_") and p.endswith(".json")]
+        assert len(halves) == (1 if "--sigma" in argv else 2)
 
 
 @pytest.mark.parametrize("argv, message", [

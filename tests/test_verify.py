@@ -173,3 +173,17 @@ def test_branch_invariants_fail_sigma_halves_that_share_a_point():
     report6, report7 = verify.check_branch_invariants(branches)
     assert report6["passed"]
     assert not report7["passed"] and report7["containment"] and not report7["distinct"]
+
+
+def test_the_range_check_skips_exactly_when_its_interval_is_empty(spectra, monkeypatch):
+    # the saturating nonlinearity empties the (1, 2) interval on the n = 2000 window
+    empty = verify.check_nodal_solutions(spectra)["details"]
+    assert empty["range_driver"]["skipped"]
+    assert empty["range_driver"]["notice"].startswith("interval (mu_2/finf, mu_1/f0) = (")
+    # an interval the check reads as (0, inf) for every index is never empty;
+    # solve_nodal keeps its own binding, so every solve and the rejection stay
+    monkeypatch.setattr(verify, "admissible_interval", lambda mu, f: (0.0, np.inf))
+    opened = verify.check_nodal_solutions(spectra)["details"]
+    assert opened.pop("range_driver") == {"skipped": False}
+    del empty["range_driver"]
+    assert opened == empty
